@@ -1418,24 +1418,6 @@ def _compile_expr(node) -> Expr:
     raise ValueError(f"unknown SQL op {op}")
 
 
-def _has_agg(node) -> bool:
-    """True when the AST contains an aggregate call (or COUNT(*))."""
-    if not isinstance(node, tuple):
-        return False
-    if node[0] == "star":
-        return True
-    if node[0] == "call" and node[1] in _AGG_FUNCS:
-        return True
-    def walk(x):
-        if isinstance(x, tuple):
-            return _has_agg(x)
-        if isinstance(x, list):
-            return any(walk(y) for y in x)
-        return False
-
-    return any(walk(x) for x in node[1:])
-
-
 def _expr_name(node, idx) -> str:
     if node[0] == "col":
         return node[1]

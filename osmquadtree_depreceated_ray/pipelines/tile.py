@@ -394,9 +394,6 @@ def tile_entities(
                 lineage_dir=mf.lineage_dir(out_dir) if has_entity_id else None,
                 alloc_ref=alloc_ref)
     timings["assign_write"] = round(time.time() - t0, 2)
-    t0 = time.time()
-
-    timings["lineage"] = 0.0  # folded into write_tiled
 
     # run metrics ride in state.json (written just before the manifest
     # commit point): with the per-tile counts in manifest.parquet this

@@ -12,14 +12,16 @@ Cross-tile moves are emitted as the reference does
 
 Lineage (entity -> tile, the LocationsCache analogue) determines the
 affected tiles; only those partitions need rewriting on compaction.
-Snapshot reads overlay base + change files with last-writer-wins by
-(entity, seq) and the J8 merge rule: change code > 2 replaces the base
-row, Delete/Remove drops it, otherwise the base row survives.
+
+Overlay (J8/J9): per entity the last record by (seq, change) wins;
+codes 3/4/5 keep that record's row, Delete/Remove drop the entity.  Base
+rows rank as ``seq = -1`` below every change record (``seq >= 1``), so a
+base row survives only for entities with no change record: snapshot and
+compaction are one broadcast anti-join of the base against the resolved
+change set (:func:`_resolved_changes`, :func:`_overlay`), no exchange.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pandas as pd
@@ -28,6 +30,7 @@ import pyarrow.parquet as pq
 
 from ..functions.qttree import QtAllocator
 from ..functions.quadtree import calculate_point
+from ..state import fsio
 from ..state import manifest as mf
 
 CH_DELETE = 1
@@ -36,27 +39,19 @@ CH_UNCHANGED = 3
 CH_MODIFY = 4
 CH_CREATE = 5
 
+_CORE = ["entity_id", "lon", "lat", "qt"]
+_ROW_COLS = _CORE + ["tile"]
+_CHANGE_COLS = _ROW_COLS + ["change", "seq"]
+_CORE_SCHEMA = pa.schema([(c, pa.int64()) for c in _CORE])
+
 
 def _changes_dir(out_dir: str) -> str:
-    from ..state import fsio
-
     return fsio.join(out_dir, "changes")
-
-
-def _changes_present(out_dir: str) -> bool:
-    """True when retired-able change files exist — fs-routed so the
-    overlay/compaction lifecycle runs on any fsspec backend."""
-    from ..state import fsio
-
-    fs, root = fsio.get_fs(_changes_dir(out_dir))
-    return fs.isdir(root) and bool(fsio.list_basenames(fs, root))
 
 
 def _migrate_legacy_lineage(out_dir: str) -> None:
     """One-time migration of a legacy single-file lineage.parquet into
     the bucketed store (a stale legacy file would shadow bucket state)."""
-    from ..state import fsio
-
     fs, root = fsio.get_fs(out_dir)
     legacy = fsio.join(root, "lineage.parquet")
     if not fs.exists(legacy):
@@ -162,8 +157,6 @@ def apply_change_batch(out_dir: str, changes: pa.Table, seq: int) -> dict:
             "seq": pa.array(np.full(len(cat[0]), seq, np.int64)),
         }
     )
-    from ..state import fsio
-
     cfs, croot = fsio.get_fs(_changes_dir(out_dir))
     cfs.makedirs(croot, exist_ok=True)
     fsio.commit_parquet(out, cfs,
@@ -234,150 +227,150 @@ def apply_change_files(out_dir: str, paths: list[str], seq: int) -> dict:
     return apply_change_batch(out_dir, merged, seq)
 
 
+def _resolved_changes(out_dir: str):
+    """Every change file resolved in one local pass (J8/J9: last record
+    per entity by ``(seq, change)``; a move's Unchanged(3) outranks its
+    Remove(2)), or None when there is none.  Returns ``(ids, rows,
+    tiles)``: sorted ids of every changed entity, the winners with code
+    > 2 as ``(entity_id, lon, lat, qt, tile)`` sorted by tile, and the
+    sorted tiles named by ANY record.  O(change records) in the calling
+    process, the bound ``apply_change_batch`` already has."""
+    fs, root = fsio.get_fs(_changes_dir(out_dir))
+    parts = []
+    for n in sorted(fsio.list_basenames(fs, root)):
+        if n.endswith(".parquet") and not n.startswith("."):
+            with fs.open(fsio.join(root, n), "rb") as f:
+                parts.append(pq.read_table(f, columns=_CHANGE_COLS))
+    if not parts:
+        return None
+    ch = pa.concat_tables(parts)
+    eid = ch.column("entity_id").to_numpy()
+    order = np.lexsort((ch.column("change").to_numpy(),
+                        ch.column("seq").to_numpy(), eid))
+    last = np.ones(len(order), bool)
+    last[:-1] = eid[order[1:]] != eid[order[:-1]]
+    win = ch.take(order[last])
+    rows = win.filter(pa.array(win.column("change").to_numpy() > CH_REMOVE))
+    rows = rows.take(np.argsort(rows.column("tile").to_numpy(), kind="stable"))
+    return (win.column("entity_id").to_numpy(), rows.select(_ROW_COLS),
+            np.unique(ch.column("tile").to_numpy()))
+
+
+def _overlay(base: pa.Table, ids: np.ndarray, rows: pa.Table | None = None):
+    """The merge rule shared by snapshot and compaction: base rows of
+    entities in ``ids`` (sorted) are dropped, ``rows`` are appended."""
+    eid = base.column("entity_id").to_numpy()
+    pos = np.searchsorted(ids, eid)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == eid[hit]
+    kept = base.filter(pa.array(~hit))
+    return kept if rows is None else pa.concat_tables([kept, rows])
+
+
 def read_snapshot(out_dir: str):
     """Base (+) all change batches — the J8/J9 overlay, Ray-Data shaped.
+
+    Rule: per entity the last record by (seq, change) wins; codes 3/4/5
+    keep its row, Delete/Remove drop the entity.  Base rows rank as
+    ``seq = -1`` under every change record (``seq >= 1``), so the rule
+    is exactly an anti-join: base rows minus the resolved changed ids,
+    union the resolved winners with code > 2.  The sorted id array ships
+    once through the object store; no exchange.
 
     Returns a Dataset of surviving (entity_id, lon, lat, qt, tile).
     """
     import ray
 
-    from ..stages.shuffle import bucketed_apply
-
-    base = ray.data.read_parquet(mf.data_dir(out_dir))
+    ids, rows, _ = (_resolved_changes(out_dir)
+                    or (np.zeros(0, np.int64), None, None))
+    ids_ref = ray.put(ids)
 
     def base_rows(b: pa.Table) -> pa.Table:
         tile = b.column("tile")
         if pa.types.is_dictionary(tile.type) or pa.types.is_string(tile.type):
-            tile = pa.array(
-                pd.to_numeric(tile.to_pandas()).astype("int64")
-            )
-        return pa.table(
-            {
-                "entity_id": b.column("entity_id"),
-                "lon": b.column("lon"),
-                "lat": b.column("lat"),
-                "qt": b.column("qt"),
-                "tile": tile,
-                "change": pa.array(np.zeros(b.num_rows, np.int8)),
-                "seq": pa.array(np.full(b.num_rows, -1, np.int64)),
-            }
-        )
+            tile = pa.array(pd.to_numeric(tile.to_pandas()).astype("int64"))
+        return _overlay(b.select(_CORE).append_column("tile", tile),
+                        ray.get(ids_ref))
 
-    cols = ["entity_id", "lon", "lat", "qt", "tile", "change", "seq"]
-    base = base.map_batches(base_rows, batch_format="pyarrow").select_columns(cols)
-
-    if _changes_present(out_dir):
-        ch = ray.data.read_parquet(_changes_dir(out_dir)).select_columns(cols)
-        both = base.union(ch)
-    else:
-        both = base
-
-    def overlay(g: pd.DataFrame) -> pd.DataFrame:
-        # J9: latest seq wins per entity per tile; J8: code>2 replaces,
-        # Delete/Remove drop, base row (code 0) survives otherwise
-        g = g.sort_values(["entity_id", "seq", "change"])  # move pair: Unchanged(3) outranks Remove(2)
-        last = g.groupby("entity_id", as_index=False).last()
-        keep = last[(last["change"] == 0) | (last["change"] > 2)]
-        return keep[["entity_id", "lon", "lat", "qt", "tile"]]
-
-    return bucketed_apply(both, ["entity_id"], overlay)
+    snap = ray.data.read_parquet(mf.data_dir(out_dir), columns=_ROW_COLS) \
+        .map_batches(base_rows, batch_format="pyarrow")
+    if rows is not None and rows.num_rows:
+        snap = snap.union(ray.data.from_arrow(rows))
+    return snap
 
 
-def _compact_tile_impl(data_dir: str, t: int, sub: pd.DataFrame):
-    from ..state import fsio
-
+def _compact_tile(data_dir: str, t: int, ids: np.ndarray, rows: pa.Table):
+    """Rewrite tile ``t`` as (its base rows − changed ids) ∪ (resolved
+    rows of tile ``t``), sorted by entity_id; ``rows`` is the
+    tile-sorted table from :func:`_resolved_changes`."""
     fs, root = fsio.get_fs(data_dir)
     tdir = fsio.join(root, f"tile={int(t)}")
-    parts = []
-    if fs.isdir(tdir):
-        base = pq.read_table(tdir, filesystem=fs)
-        bdf = base.to_pandas()
-        bdf["change"] = 0
-        bdf["seq"] = -1
-        parts.append(bdf[["entity_id", "lon", "lat", "qt", "change", "seq"]])
-    parts.append(sub)
-    allr = pd.concat(parts, ignore_index=True)
-    allr = allr.sort_values(["entity_id", "seq", "change"])
-    last = allr.groupby("entity_id", as_index=False).last()
-    keep = last[(last["change"] == 0) | (last["change"] > 2)][
-        ["entity_id", "lon", "lat", "qt"]]
+    base = (pq.read_table(tdir, filesystem=fs, columns=_CORE).cast(_CORE_SCHEMA)
+            if fs.isdir(tdir) else _CORE_SCHEMA.empty_table())
+    tcol = rows.column("tile").to_numpy()
+    lo = np.searchsorted(tcol, t, side="left")
+    hi = np.searchsorted(tcol, t, side="right")
+    keep = _overlay(base, ids, rows.slice(lo, hi - lo).select(_CORE))
+    keep = keep.take(np.argsort(keep.column("entity_id").to_numpy(),
+                                kind="stable"))
     fs.makedirs(tdir, exist_ok=True)
     # base rows carry extra columns (url/name/cells); compacted tiles
     # carry the core schema — readers select shared columns.  Commit via
     # fsio (tmp+rename local, direct PUT + manifest gate elsewhere);
     # stale pre-compaction parts retired after the commit.
     final = "part-compacted.parquet"
-    fsio.commit_parquet(pa.Table.from_pandas(keep, preserve_index=False),
-                        fs, fsio.join(tdir, final))
+    fsio.commit_parquet(keep, fs, fsio.join(tdir, final))
     fsio.remove_stale(fs, tdir, final)
-    return int(t), int(len(keep))
+    return int(keep.num_rows)
 
 
 def compact(out_dir: str) -> dict:
     """Merge accumulated change batches INTO the tile partitions —
     the reference's partial re-read/re-write (update.go:343-738 +
-    readfile/partial.go): ONLY tiles named in change files are rewritten
-    (tmp+rename per tile), everything else is untouched; change files
+    readfile/partial.go): ONLY tiles named by a change record (Remove/
+    Delete-only tiles included) are rewritten, each as the snapshot
+    overlay restricted to it; everything else is untouched; change files
     are then retired.
 
-    After compaction ``read_snapshot`` over the bare data dir equals the
-    pre-compaction overlay.
+    The calling process resolves the change set once (O(change records),
+    the bound ``apply_change_batch`` already has); one Ray Data map over
+    the tile list, about one batch per CPU, rewrites the tiles (the
+    reference's per-tile goroutines) and returns only (tile, count) for
+    the manifest refresh.  After compaction ``read_snapshot`` over the
+    bare data dir equals the pre-compaction overlay.
     """
     import ray
 
-    from ..stages.shuffle import bucketed_apply
-
-    if not _changes_present(out_dir):
+    resolved = _resolved_changes(out_dir)
+    if resolved is None:
         return {"rewritten_tiles": 0, "retired_files": 0}
-    cdir = _changes_dir(out_dir)
     data_dir = mf.data_dir(out_dir)
+    tiles = resolved[2]
+    res_ref = ray.put(resolved[:2])
 
-    # route the change stream to per-tile compaction through the
-    # bucketed exchange (same shape as write_tiled): the driver never
-    # materializes change rows — a deferred multi-sequence backlog
-    # streams from parquet straight into the tile-keyed buckets.  Each
-    # bucket task overlays every one of its tiles' base rows with that
-    # tile's change slice and rewrites atomically (the reference
-    # rewrites tiles on independent goroutines, update.go:343-738),
-    # returning only (tile, new_count) for the manifest refresh.
-    ch_ds = ray.data.read_parquet(
-        cdir, columns=["entity_id", "lon", "lat", "qt", "tile",
-                       "change", "seq"])
+    def compact_tiles(b: pa.Table) -> pa.Table:
+        ids, rows = ray.get(res_ref)
+        t = b.column("tile").to_numpy()
+        n = [_compact_tile(data_dir, int(x), ids, rows) for x in t]
+        return pa.table({"tile": t, "count": np.asarray(n, np.int64)})
 
-    def compact_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        tiles, counts = [], []
-        for t, grp in g.groupby("tile", sort=False):
-            n_t, n_keep = _compact_tile_impl(
-                data_dir, int(t),
-                grp[["entity_id", "lon", "lat", "qt", "change", "seq"]])
-            tiles.append(n_t)
-            counts.append(n_keep)
-        return pd.DataFrame({"tile": pd.Series(tiles, dtype=np.int64),
-                             "count": pd.Series(counts, dtype=np.int64)})
+    results = pd.DataFrame({"tile": [], "count": []}, dtype=np.int64)
+    if len(tiles):
+        n_cpu = int(ray.cluster_resources().get("CPU", 1))
+        chunks = np.array_split(tiles, max(1, min(n_cpu, len(tiles))))
+        results = ray.data.from_arrow([pa.table({"tile": c}) for c in chunks]) \
+            .map_batches(compact_tiles, batch_format="pyarrow",
+                         batch_size=None).to_pandas()
 
-    results_df = bucketed_apply(ch_ds, ["tile"], compact_bucket).to_pandas()
-    results = list(zip(results_df["tile"].astype(int),
-                       results_df["count"].astype(int)))
-
-    retired = 0
-    from ..state import fsio
-
-    cfs, croot = fsio.get_fs(cdir)
-    for f in fsio.list_basenames(cfs, croot):
+    cfs, croot = fsio.get_fs(_changes_dir(out_dir))
+    retired = fsio.list_basenames(cfs, croot)
+    for f in retired:
         cfs.rm(fsio.join(croot, f))
-        retired += 1
-    # refresh manifest counts for rewritten tiles
-    man = mf.read_manifest(out_dir).to_pandas()
-    for t, n in results:
-        if (man["tile"] == t).any():
-            man.loc[man["tile"] == t, "count"] = n
-        else:
-            man = pd.concat(
-                [man, pd.DataFrame({"tile": [int(t)], "count": [n]})],
-                ignore_index=True,
-            )
+    # refresh manifest counts for rewritten tiles (manifest order kept)
+    man = pd.concat([mf.read_manifest(out_dir).to_pandas(), results]) \
+        .groupby("tile", sort=False)["count"].last()
     state = mf.read_state(out_dir)
     state["compacted_seq"] = state.get("seq", 0)
-    mf.write_manifest(out_dir, man["tile"].to_numpy(), man["count"].to_numpy(),
+    mf.write_manifest(out_dir, man.index.to_numpy(), man.to_numpy(),
                       state=state)
-    return {"rewritten_tiles": len(results), "retired_files": retired}
+    return {"rewritten_tiles": len(results), "retired_files": len(retired)}

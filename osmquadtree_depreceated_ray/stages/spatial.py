@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import geom
-from ..functions.quadtree import calculate, qt_round, qt_tuple
+from ..functions.quadtree import calculate, qt_from_tuple, qt_round, qt_tuple
 
 PIP_BUCKET_LEVEL = 4
 
@@ -57,34 +57,34 @@ class PolygonIndex:
         # cell-prefix buckets: each polygon registered in every level-L
         # tile its bbox spans (tile ids via the same qt math as points)
         self.bucket_level = bucket_level
-        self.buckets: dict[int, np.ndarray] = {}
-        tmp: dict[int, list[int]] = {}
-        for i in range(len(self.poly_ids)):
-            for t in self._covering_tiles(self.bboxes[i], bucket_level):
-                tmp.setdefault(int(t), []).append(i)
-        for k, v in tmp.items():
-            self.buckets[k] = np.asarray(v, dtype=np.int64)
+        self.buckets: dict[int, np.ndarray] = self._bucket_map(
+            self.bboxes, bucket_level)
 
     @staticmethod
-    def _covering_tiles(bbox, level):
-        """All level-``level`` tiles whose x/y range intersects bbox
-        (via the tile tuple of the bbox corners)."""
-        minx, miny, maxx, maxy = (int(v) for v in bbox)
-        c1 = calculate(
-            np.asarray([minx]), np.asarray([miny]),
-            np.asarray([minx + 1]), np.asarray([miny + 1]), 0.0, level)
-        c2 = calculate(
-            np.asarray([maxx - 1]), np.asarray([maxy - 1]),
-            np.asarray([maxx]), np.asarray([maxy]), 0.0, level)
+    def _bucket_map(bboxes: np.ndarray, level: int) -> dict[int, np.ndarray]:
+        """level-``level`` tile -> ascending indices of the polygons whose
+        bbox x/y tile range covers it, from the tile tuples of every
+        bbox's two corners (one vectorised ``calculate`` per corner)."""
+        if len(bboxes) == 0:
+            return {}
+        minx, miny, maxx, maxy = bboxes.T
+        c1 = calculate(minx, miny, minx + 1, miny + 1, 0.0, level)
+        c2 = calculate(maxx - 1, maxy - 1, maxx, maxy, 0.0, level)
         x1, y1, _ = qt_tuple(qt_round(c1, level))
         x2, y2, _ = qt_tuple(qt_round(c2, level))
-        xs = np.arange(min(x1[0], x2[0]), max(x1[0], x2[0]) + 1)
-        ys = np.arange(min(y1[0], y2[0]), max(y1[0], y2[0]) + 1)
-        from ..functions.quadtree import qt_from_tuple
-
-        xx, yy = np.meshgrid(xs, ys)
-        return qt_from_tuple(xx.ravel(), yy.ravel(),
-                             np.full(xx.size, level, dtype=np.int64))
+        x0, y0 = np.minimum(x1, x2), np.minimum(y1, y2)
+        nx = np.abs(x2 - x1) + 1
+        n = nx * (np.abs(y2 - y1) + 1)
+        # k-th tile of polygon i's x/y range, for all polygons at once
+        poly = np.repeat(np.arange(len(bboxes)), n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        tiles = qt_from_tuple(x0[poly] + k % nx[poly], y0[poly] + k // nx[poly],
+                              np.full(len(poly), level, dtype=np.int64))
+        # stable: each bucket lists its polygons in ascending index order
+        order = np.argsort(tiles, kind="stable")
+        tiles, poly = tiles[order], poly[order].astype(np.int64)
+        starts = np.flatnonzero(np.r_[True, tiles[1:] != tiles[:-1]])
+        return dict(zip(tiles[starts].tolist(), np.split(poly, starts[1:])))
 
     def candidates(self, lon: np.ndarray, lat: np.ndarray):
         """Per-point candidate polygon lists via the bucket map.

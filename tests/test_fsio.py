@@ -226,7 +226,7 @@ def test_update_compact_lifecycle_memory(memfs, ray_session):
     res = up.apply_change_batch(root, changes, 1)
     assert res["records"] == 3 and res["missing_deletes"] == 0
     # change file committed on the memory backend, no tmp residue
-    assert up._changes_present(root)
+    assert up._resolved_changes(root) is not None
     cfs, croot = fsio.get_fs(up._changes_dir(root))
     names = fsio.list_basenames(cfs, croot)
     assert names == ["change_000001.parquet"]
@@ -236,13 +236,11 @@ def test_update_compact_lifecycle_memory(memfs, ray_session):
     assert 3 not in set(lin["entity_id"])
     assert 7 in set(lin["entity_id"])
 
-    # per-tile compaction (the compact_bucket body, driven in-process)
-    with cfs.open(fsio.join(croot, names[0]), "rb") as f:
-        ch = pq.read_table(f).to_pandas()
-    for t, grp in ch.groupby("tile"):
-        up._compact_tile_impl(
-            data, int(t),
-            grp[["entity_id", "lon", "lat", "qt", "change", "seq"]])
+    # per-tile compaction (the compact_tiles body, driven in-process)
+    ids, rows, tiles = up._resolved_changes(root)
+    assert ids.tolist() == [2, 3, 7] and tiles.tolist() == [0]
+    for t in tiles:
+        up._compact_tile(data, int(t), ids, rows)
     # compacted tile replaces the base parts entirely
     tdir = "/lc/data/tile=0"
     assert [n for n in fsio.list_basenames(memfs, tdir)
@@ -252,10 +250,13 @@ def test_update_compact_lifecycle_memory(memfs, ray_session):
     assert got.index.tolist() == [1, 2, 4, 5, 6, 7]
     assert int(got.loc[2, "lon"]) == 123_000_000
     assert int(got.loc[7, "lat"]) == -10_000_000
+    # untouched entities keep their base payload
+    assert got.loc[[1, 4, 5, 6], "lon"].tolist() == lon[[0, 3, 4, 5]].tolist()
+    assert got.loc[[1, 4, 5, 6], "lat"].tolist() == lat[[0, 3, 4, 5]].tolist()
     # retirement protocol (compact()'s tail) on the same backend
     for f in fsio.list_basenames(cfs, croot):
         cfs.rm(fsio.join(croot, f))
-    assert not up._changes_present(root)
+    assert up._resolved_changes(root) is None
 
 
 def test_full_lifecycle_file_scheme(ray_session, tmp_path):

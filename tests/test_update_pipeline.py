@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from osmquadtree_depreceated_ray.pipelines import update as up
 from osmquadtree_depreceated_ray.state import manifest as mf
@@ -270,3 +272,158 @@ def test_multifile_merge_equals_sequential(ray_session, fixture_dir,
     la = mf.read_lineage(out_a).to_pandas().set_index("entity_id")["tile"]
     lb = mf.read_lineage(out_b).to_pandas().set_index("entity_id")["tile"]
     assert la.sort_index().equals(lb.sort_index())
+
+
+# ---------------------------------------------------------------- property:
+# overlay == replay under random batches, k-way merges and compactions
+
+_N_BASE = 1200  # find_qt_groups splits only stores of over 1000 rows
+# ops draw from a small id window so that ids repeat across batches:
+# base ids 1195..1200, ids 1201..1210 exist only once created
+_IDS = st.integers(_N_BASE - 5, _N_BASE + 10)
+_COLS = ["entity_id", "lon", "lat", "qt", "tile"]
+
+
+@pytest.fixture(scope="module")
+def pristine(ray_session, tmp_path_factory):
+    import pyarrow as pa
+    import ray
+
+    from osmquadtree_depreceated_ray.functions.quadtree import calculate_point
+    from osmquadtree_depreceated_ray.pipelines.tile import tile_entities
+
+    rng = np.random.default_rng(11)
+    eid = np.arange(1, _N_BASE + 1, dtype=np.int64)
+    lon = rng.integers(-1_700_000_000, 1_700_000_000, _N_BASE)
+    lat = rng.integers(-800_000_000, 800_000_000, _N_BASE)
+    ents = ray.data.from_arrow(pa.table({
+        "entity_id": eid, "lon": lon, "lat": lat,
+        "qt": calculate_point(lon, lat, 0.05, 18)}))
+    out = str(tmp_path_factory.mktemp("prop") / "pristine")
+    tile_entities(ents, out, target=150, minimum=20, resume=False)
+    assert len(mf.read_manifest(out)) > 2
+    live = {int(e): (int(x), int(y)) for e, x, y in zip(eid, lon, lat)}
+    return out, live
+
+
+def _parent_overlay(g: pd.DataFrame) -> pd.DataFrame:
+    # the per-entity groupby overlay the anti-join replaced, verbatim
+    # J9: latest seq wins per entity per tile; J8: code>2 replaces,
+    # Delete/Remove drop, base row (code 0) survives otherwise
+    g = g.sort_values(["entity_id", "seq", "change"])  # move pair: Unchanged(3) outranks Remove(2)
+    last = g.groupby("entity_id", as_index=False).last()
+    keep = last[(last["change"] == 0) | (last["change"] > 2)]
+    return keep[["entity_id", "lon", "lat", "qt", "tile"]]
+
+
+def _reference_snapshot(out) -> pd.DataFrame:
+    base = pq.read_table(mf.data_dir(out),
+                         columns=["entity_id", "lon", "lat", "qt", "tile"]
+                         ).to_pandas()
+    base["tile"] = pd.to_numeric(base["tile"].astype(str)).astype(np.int64)
+    base["change"], base["seq"] = 0, -1
+    cdir = os.path.join(out, "changes")
+    parts = [base] + [pq.read_table(os.path.join(cdir, n)).to_pandas()
+                      for n in sorted(os.listdir(cdir) if os.path.isdir(cdir)
+                                      else [])]
+    return _parent_overlay(pd.concat(parts, ignore_index=True))
+
+
+def _replay_frame(live: dict, out) -> pd.DataFrame:
+    from osmquadtree_depreceated_ray.functions.qttree import QtAllocator
+    from osmquadtree_depreceated_ray.functions.quadtree import calculate_point
+
+    eid = np.array(sorted(live), dtype=np.int64)
+    lon = np.array([live[e][0] for e in eid], dtype=np.int64)
+    lat = np.array([live[e][1] for e in eid], dtype=np.int64)
+    qt = calculate_point(lon, lat, 0.05, 18)
+    alloc = QtAllocator(mf.read_manifest(out).column("tile").to_numpy())
+    return pd.DataFrame({"entity_id": eid, "lon": lon, "lat": lat, "qt": qt,
+                         "tile": alloc.assign(qt)})
+
+
+def _rows(df: pd.DataFrame) -> np.ndarray:
+    return df[_COLS].astype(np.int64).sort_values("entity_id").to_numpy()
+
+
+def _batch(ops, seq, live):
+    """One change batch from drawn ops; ``live`` is replayed in place."""
+    import pyarrow as pa
+
+    recs = []
+    for kind, e, r in ops:
+        rng = np.random.default_rng(r)
+        far = (int(rng.integers(-1_700_000_000, 1_700_000_000)),
+               int(rng.integers(-800_000_000, 800_000_000)))
+        if kind == "delete":  # of a missing id too
+            event("delete" if e in live else "delete of a missing id")
+            recs.append((e, up.CH_DELETE, 0, 0))
+            live.pop(e, None)
+            continue
+        if kind == "modify" and e in live:  # same tile: a 1-unit nudge
+            pos, code = (live[e][0] + 1, live[e][1]), up.CH_MODIFY
+            event("same-tile modify")
+        elif kind == "move":  # cross-tile (or create when missing)
+            pos, code = far, up.CH_MODIFY
+            event("cross-tile move" if e in live else "modify of a missing id")
+        else:  # create, also over a live entity elsewhere
+            pos, code = far, up.CH_CREATE
+            event("create over a live entity" if e in live else "create")
+        recs.append((e, code) + pos)
+        live[e] = pos
+    e, c, x, y = (np.array(v, dtype=np.int64) for v in zip(*recs))
+    return pa.table({"entity_id": e, "change": c.astype(np.int8),
+                     "lon": x, "lat": y,
+                     "seq": np.full(len(e), seq, np.int64)})
+
+
+_OP = st.tuples(st.sampled_from(["delete", "modify", "move", "create"]),
+                _IDS, st.integers(0, 2**20))
+# a step is 1-2 batches (2 = k-way merged into one apply) + compact flag
+_STEP = st.tuples(st.lists(st.lists(_OP, min_size=1, max_size=6),
+                           min_size=1, max_size=2), st.booleans())
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(_STEP, min_size=1, max_size=3))
+def test_overlay_equals_replay(pristine, tmp_path_factory, steps):
+    """read_snapshot == pandas replay == the per-entity groupby overlay,
+    through deletes (of missing ids too), same-tile modifies, cross-tile
+    moves, creates over live entities, k-way merged batches and
+    interleaved compaction; a read after compact equals the snapshot
+    before it.  No path may schedule an exchange."""
+    import shutil
+
+    from osmquadtree_depreceated_ray.stages import shuffle
+
+    src, live0 = pristine
+    out = str(tmp_path_factory.mktemp("prop") / "store")
+    shutil.copytree(src, out)
+    live, seq = dict(live0), 0
+
+    def no_exchange(*a, **k):
+        raise AssertionError("update overlay scheduled an exchange")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shuffle, "bucketed_apply", no_exchange)
+        for batches, do_compact in steps:
+            tables = []
+            for ops in batches:
+                seq += 1
+                tables.append(_batch(ops, seq, live))
+            if len(tables) > 1:
+                event("k-way merged batches")
+                up.apply_change_batch(
+                    out, up.merge_change_files(tables, seq=seq), seq)
+            else:
+                up.apply_change_batch(out, tables[0], seq)
+            snap = _rows(up.read_snapshot(out).to_pandas())
+            np.testing.assert_array_equal(snap, _rows(_replay_frame(live, out)))
+            np.testing.assert_array_equal(snap, _rows(_reference_snapshot(out)))
+            if do_compact:
+                event("compact")
+                up.compact(out)
+                assert up._resolved_changes(out) is None
+                np.testing.assert_array_equal(
+                    _rows(up.read_snapshot(out).to_pandas()), snap)
