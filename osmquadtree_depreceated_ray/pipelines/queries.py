@@ -1017,18 +1017,15 @@ SQL_SEMIJOIN_TEXT = (
 
 
 def q_sql_semijoin(sf_dir: str):
-    """IN (subquery) + NOT EXISTS routed through the BUCKETED semi-join
-    fallback: PROBE_COLLECT_THRESHOLD is forced to 0 for this query, so
-    neither value set ever collects to the driver — each becomes a
+    """IN (subquery) + NOT EXISTS routed through the BUCKETED semi-join:
+    ``broadcast_threshold=0`` puts every value set above the broadcast
+    cap, so neither ever collects to the driver — each becomes a
     deduped marker relation left-joined through the bucketed hash
     exchange (the at-scale path for probe sets beyond driver memory;
     reference analogue filter/filter.go:94-188).  Oracle = the
-    IDENTICAL string in DuckDB.  The fallback decision happens at plan
-    time inside parse_sql, so restoring the threshold afterwards is
-    safe even though the returned Dataset is lazy."""
+    IDENTICAL string in DuckDB."""
     import ray
 
-    from . import sqlparse
     from .sqlparse import parse_sql
 
     tables = {
@@ -1045,12 +1042,7 @@ def q_sql_semijoin(sf_dir: str):
             columns=["l_orderkey", "l_quantity"],
         ),
     }
-    prev = sqlparse.PROBE_COLLECT_THRESHOLD
-    sqlparse.PROBE_COLLECT_THRESHOLD = 0
-    try:
-        return parse_sql(SQL_SEMIJOIN_TEXT, tables)
-    finally:
-        sqlparse.PROBE_COLLECT_THRESHOLD = prev
+    return parse_sql(SQL_SEMIJOIN_TEXT, tables, broadcast_threshold=0)
 
 
 QUERIES["sql_semijoin"] = q_sql_semijoin

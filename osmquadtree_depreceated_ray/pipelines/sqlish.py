@@ -24,6 +24,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def in_3vl(x, value_set: pa.Array, had_null: bool):
+    """SQL three-valued IN of ``x`` against the null-free ``value_set``:
+    a NULL probe yields NULL (pc.is_in says false), and a NULL in the
+    member set (``had_null``) turns every non-match into NULL (x IN (1,
+    NULL) is TRUE or NULL, never FALSE).  Under a bare WHERE both
+    collapse to "filtered", but NOT / CASE composed over the result
+    must see the NULL."""
+    m = pc.is_in(x, value_set=value_set)
+    m = pc.if_else(pc.is_null(x), pa.scalar(None, pa.bool_()), m)
+    if had_null:
+        m = pc.or_kleene(m, pa.scalar(None, pa.bool_()))
+    return m
+
+
 class Expr:
     def __init__(self, fn, name="expr"):
         self.fn = fn
@@ -144,23 +158,9 @@ class Expr:
         return (self >= lo) & (self <= hi)
 
     def isin(self, values):
-        # SQL three-valued IN: a NULL probe yields NULL (pc.is_in says
-        # false), and a NULL in the member set turns every non-match
-        # into NULL (x IN (1, NULL) is TRUE or NULL, never FALSE).
-        # Under a bare WHERE both collapse to "filtered", but NOT / CASE
-        # composed over the result must see the NULL.
         had_null = any(v is None for v in values)
         vs = pa.array([v for v in values if v is not None])
-
-        def fn(t):
-            x = self(t)
-            m = pc.is_in(x, value_set=vs)
-            m = pc.if_else(pc.is_null(x), pa.scalar(None, pa.bool_()), m)
-            if had_null:
-                m = pc.or_kleene(m, pa.scalar(None, pa.bool_()))
-            return m
-
-        return Expr(fn, "in")
+        return Expr(lambda t: in_3vl(self(t), vs, had_null), "in")
 
     def is_null(self):
         return Expr(lambda t: pc.is_null(self(t)), "isnull")

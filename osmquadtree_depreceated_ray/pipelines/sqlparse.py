@@ -74,15 +74,19 @@ kernels are pandas groupby primitives (cumsum/cumcount/shift/transform)
 — vectorized, no per-row Python.  A window without PARTITION BY is a
 total order and runs single-bucket (inherently serial on ANY engine).
 
-[NOT] EXISTS resolves at plan time into a distinct-value semi/anti
-probe (single correlation equality, same contract as IN (subquery)):
-value sets up to ``PROBE_COLLECT_THRESHOLD`` distinct values collect to
-the driver and broadcast as a literal membership test; LARGER sets
-never touch the driver — they become a deduped marker relation
-LEFT-joined onto the outer query through the bucketed hash exchange
-(the semi-join fallback, :func:`_pending_semi_join`), with the probe
-reduced to a null-test on the marker.  Uncorrelated scalar subqueries
-resolve eagerly to literals.
+[NOT] EXISTS and IN / NOT IN (subquery) resolve at plan time through
+one semi-join primitive (:func:`_semi_join`; a correlated EXISTS takes a
+single correlation equality, the same contract as IN).  The value
+subquery runs once, with no DISTINCT exchange: each block dedups with
+``pc.unique``.  A set of at most ``broadcast_threshold`` values (the
+``parse_sql`` parameter joins use) gathers into one deduped Arrow
+array on the driver and ships once by ``ray.put``; every batch probes
+it with ``pc.is_in`` under the 3VL of ``Expr.isin``.  LARGER sets never
+touch the driver: they become a deduped marker relation LEFT-joined
+onto the outer query through the bucketed hash exchange
+(:func:`_pending_semi_join`), with the probe reduced to a null-test on
+the marker.  Uncorrelated scalar subqueries resolve eagerly to
+literals.
 """
 
 from __future__ import annotations
@@ -93,16 +97,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .sqlish import Expr, Query, case_when, col, lit
-
-# Distinct-value sets from IN (subquery) / EXISTS at or below this size
-# collect to the driver and ship as a literal membership test (cheap,
-# zero extra exchange); above it the planner switches to the bucketed
-# semi-join fallback (_pending_semi_join) so neither the driver nor the
-# task closures ever hold the value set.  The reference applies its
-# IdSet closure filter partition-side for the same reason
-# (filter/filter.go:94-188).
-PROBE_COLLECT_THRESHOLD = 50_000
+from .sqlish import Expr, Query, case_when, col, in_3vl, lit
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -1080,6 +1075,17 @@ def _compile_expr(node) -> Expr:
         # NULL; NULL member -> non-matches become NULL), so the raw
         # member list passes through
         return _compile_expr(node[1]).isin(list(node[2]))
+    if op == "in_set":
+        # broadcast semi-join (see _semi_join): the deduped, null-free
+        # value array arrives once by ray.put; node[3] is its null flag
+        xe = _compile_expr(node[1])
+
+        def _in_set(t, _xe=xe, _ref=node[2], _had_null=node[3]):
+            import ray
+
+            return in_3vl(_xe(t), ray.get(_ref), _had_null)
+
+        return Expr(_in_set, "in")
     if op == "isnull":
         return _compile_expr(node[1]).is_null()
     if op == "notnull":
@@ -2494,7 +2500,8 @@ def _run_window_select(ds, sel) -> "ray.data.Dataset":  # noqa: F821
         by_part.setdefault(tuple(sp[4]), []).append(
             (sp[0], sp[1], sp[2], sp[3], sp[5], sp[6], sp[7]))
     for part, group in by_part.items():
-        nb = 1 if part == ("__wg",) else 32
+        # None = the cluster-sized default_buckets()
+        nb = 1 if part == ("__wg",) else None
         out = bucketed_apply(
             out, list(part), _window_bucket_fn(list(part), group),
             n_buckets=nb)
@@ -2541,18 +2548,15 @@ def _collect_cols(node, out: set) -> None:
             _collect_cols(sub, out)
 
 
-def _int_named_cols(ds_a, ds_b) -> dict:
-    """name -> declared numpy dtype for columns DECLARED integer on
-    either side — pandas conversion of a null-bearing arrow int column
-    yields float64, so join kernels restore these after the merge
-    (nullable-safe, declared width preserved: an int32 column must NOT
-    come back int64 or the oracle dtype check flags it)."""
-    int_cols: dict = {}
-    for sch in (ds_a.schema(), ds_b.schema()):
-        for name, typ in zip(sch.names, sch.types):
-            if isinstance(typ, pa.DataType) and pa.types.is_integer(typ):
-                int_cols[name] = typ.to_pandas_dtype()
-    return int_cols
+def _int_cols(*schemas) -> dict:
+    """name -> declared numpy dtype for columns DECLARED integer in any
+    of ``schemas`` (a later schema wins a shared name) — pandas
+    conversion of a null-bearing arrow int column yields float64, so
+    join kernels restore these after the merge (nullable-safe, declared
+    width preserved: an int32 column must NOT come back int64 or the
+    oracle dtype check flags it)."""
+    return {f.name: f.type.to_pandas_dtype()
+            for sch in schemas for f in sch if pa.types.is_integer(f.type)}
 
 
 def _restore_int_cols(m: pd.DataFrame, int_cols: dict) -> pd.DataFrame:
@@ -2569,13 +2573,21 @@ def _restore_int_cols(m: pd.DataFrame, int_cols: dict) -> pd.DataFrame:
 
 
 def _driver_read_small(ds_b):
-    """Short-circuit collecting a PURE parquet Read (no transforms, no
-    filter/partitioning/UDF) by reading the file(s) driver-side: a Ray
-    streaming execution costs ~0.3 s of launch latency even for a
-    25-row build table, paid once per broadcast join.  Returns None
-    whenever the plan is anything but that exact shape."""
+    """Short-circuit collecting a PURE parquet Read, optionally under one
+    columns-only Project (the planner's ``select_columns`` pruning) but
+    with no other transform, filter, partitioning or UDF, by reading
+    the file(s) driver-side: a Ray streaming execution costs ~0.3 s of
+    launch latency even for a 25-row build table, paid once per
+    broadcast join.  Returns None whenever the plan is anything but
+    that exact shape, or spans more than 16 files."""
     try:
         dag = ds_b._logical_plan.dag
+        cols = None
+        if type(dag).__name__ == "Project":
+            if dag.cols is None or dag.cols_rename or dag.exprs:
+                return None
+            cols = list(dag.cols)
+            dag = dag.input_dependencies[0]
         if type(dag).__name__ != "Read" or dag.input_dependencies:
             return None
         src = getattr(dag, "_datasource", None)
@@ -2590,30 +2602,55 @@ def _driver_read_small(ds_b):
             return None
         import pyarrow.parquet as _pq
 
-        cols = getattr(src, "_data_columns", None)
+        read_cols = getattr(src, "_data_columns", None)
+        if cols is not None:
+            if read_cols is not None and not set(cols) <= set(read_cols):
+                return None
+            read_cols = cols
         return pa.concat_tables(
-            [_pq.read_table(p, columns=cols) for p in paths],
+            [_pq.read_table(p, columns=read_cols) for p in paths],
             promote_options="default")
     except Exception:
         return None
 
 
-def _collect_small(ds_b) -> pd.DataFrame:
-    """Materialize a small dataset's blocks into one pandas frame.
+def _collect_small(ds_b) -> pa.Table:
+    """Materialize a small dataset's blocks into one Arrow table.
     Blocks may be Arrow or pandas (a prior join / map_groups stage
     yields pandas blocks) — normalize before concatenating."""
     import ray
 
     direct = _driver_read_small(ds_b)
     if direct is not None:
-        return direct.to_pandas()
+        return direct
     blocks = ray.get(ds_b.to_arrow_refs())
-    b_tbl = pa.concat_tables(
+    return pa.concat_tables(
         [b if isinstance(b, pa.Table)
          else pa.Table.from_pandas(b, preserve_index=False)
          for b in blocks],
         promote_options="default")
-    return b_tbl.to_pandas()
+
+
+def _broadcast_map(ds_a, b_df: pd.DataFrame, b_schema: pa.Schema, merge):
+    """Map-side join of ``ds_a`` against the collected build table:
+    ``ray.put`` it once, run ``merge(batch_df, build_df)`` per batch.
+    Overlap columns (the merge's ``_r`` dupes, dropped: shared names
+    carry LEFT values) and the int restore are read off each batch's
+    Arrow schema and the build table's, so planning never probes
+    ``ds_a``'s schema (on a derived pipeline that runs its prefix)."""
+    import ray
+
+    b_ref = ray.put(b_df)
+
+    def fn(batch: pa.Table) -> pd.DataFrame:
+        bd = ray.get(b_ref)
+        m = merge(batch.to_pandas(), bd)
+        drop = [f"{c}_r" for c in batch.column_names
+                if c in bd.columns and f"{c}_r" in m.columns]
+        return _restore_int_cols(m.drop(columns=drop),
+                                 _int_cols(batch.schema, b_schema))
+
+    return ds_a.map_batches(fn, batch_format="pyarrow")
 
 
 def _broadcast_join(ds_a, ds_b, lcol, rcol, how: str = "inner"):
@@ -2623,34 +2660,20 @@ def _broadcast_join(ds_a, ds_b, lcol, rcol, how: str = "inner"):
     when the right table is under the broadcast threshold; same output
     contract as :func:`_join_on`).  A left join is still map-side-
     correct here: every left row appears in exactly one batch."""
-    import ray
-
     lcols = [lcol] if isinstance(lcol, str) else list(lcol)
     rcols = [rcol] if isinstance(rcol, str) else list(rcol)
-    b_df = _collect_small(ds_b)
+    b_tbl = _collect_small(ds_b)
+    b_df = b_tbl.to_pandas()
     # SQL NULL keys never match — drop build rows with ANY null key
-    # once (pandas merge would pair NaN==NaN)
+    # once (pandas merge would pair NaN==NaN).  Probe-side null keys
+    # then can't match either: pandas only pairs NaN==NaN when BOTH
+    # sides have them — so inner drops and left null-preserves,
+    # exactly SQL
     keymask = b_df[rcols].notna().all(axis=1)
     if not keymask.all():
         b_df = b_df[keymask]
-    a_names = ds_a.schema().names
-    overlap = set(a_names) & set(b_df.columns)
-    int_cols = _int_named_cols(ds_a, ds_b)
-    b_ref = ray.put(b_df)
-
-    def fn(batch: pa.Table) -> pd.DataFrame:
-        bd = ray.get(b_ref)
-        # probe-side null keys can't match: the build side carries no
-        # null keys (dropped above), and pandas only pairs NaN==NaN
-        # when BOTH sides have them — so inner drops and left
-        # null-preserves, exactly SQL
-        m = batch.to_pandas().merge(
-            bd, left_on=lcols, right_on=rcols, how=how,
-            suffixes=("", "_r"))
-        drop = [f"{c}_r" for c in overlap if f"{c}_r" in m.columns]
-        return _restore_int_cols(m.drop(columns=drop), int_cols)
-
-    return ds_a.map_batches(fn, batch_format="pyarrow")
+    return _broadcast_map(ds_a, b_df, b_tbl.schema, lambda a, b: a.merge(
+        b, left_on=lcols, right_on=rcols, how=how, suffixes=("", "_r")))
 
 
 def _cross_join(ds_a, ds_b, broadcast_threshold: int = 1_000_000):
@@ -2659,29 +2682,17 @@ def _cross_join(ds_a, ds_b, broadcast_threshold: int = 1_000_000):
     merge.  An over-threshold right side is refused loudly — at corpus
     scale an unbounded cartesian is always a bug; theta-joins that need
     scale go through the dedicated range/distance join operators."""
-    import ray
-
-    b_df = _collect_small(ds_b)
-    if len(b_df) > broadcast_threshold:
+    b_tbl = _collect_small(ds_b)
+    if b_tbl.num_rows > broadcast_threshold:
         raise ValueError(
-            f"CROSS JOIN right side has {len(b_df)} rows "
+            f"CROSS JOIN right side has {b_tbl.num_rows} rows "
             f"(> {broadcast_threshold}); use a keyed join")
-    a_names = ds_a.schema().names
-    overlap = set(a_names) & set(b_df.columns)
-    int_cols = _int_named_cols(ds_a, ds_b)
-    b_ref = ray.put(b_df)
-
-    def fn(batch: pa.Table) -> pd.DataFrame:
-        bd = ray.get(b_ref)
-        m = batch.to_pandas().merge(bd, how="cross", suffixes=("", "_r"))
-        drop = [f"{c}_r" for c in overlap if f"{c}_r" in m.columns]
-        return _restore_int_cols(m.drop(columns=drop), int_cols)
-
-    return ds_a.map_batches(fn, batch_format="pyarrow")
+    return _broadcast_map(ds_a, b_tbl.to_pandas(), b_tbl.schema,
+                          lambda a, b: a.merge(b, how="cross",
+                                               suffixes=("", "_r")))
 
 
-def _join_on(ds_a, ds_b, lcol, rcol, n_buckets: int = 16,
-             how: str = "inner"):
+def _join_on(ds_a, ds_b, lcol, rcol, how: str = "inner"):
     """Inner/left/right/full equi-join (single or composite key) of two
     datasets as one bucketed hash shuffle (rows of both sides co-locate
     by key, so each bucket's outer merge is globally correct).  NULL
@@ -2799,7 +2810,7 @@ def _join_on(ds_a, ds_b, lcol, rcol, n_buckets: int = 16,
                         else m[c].astype(np.int64))
         return m
 
-    return bucketed_apply(both, jks, merge, n_buckets=n_buckets)
+    return bucketed_apply(both, jks, merge)
 
 
 def _per_key_topn(ds, kcols: list, okeys: list, n: int):
@@ -2934,17 +2945,20 @@ def _exec_lateral(sub_ast, tables, broadcast_threshold):
     return Query(ds_i).select(**proj).run(), lcols, rcols, hidden
 
 
-def _split_correlation(sub_sel, tables, kind: str):
+def _split_correlation(sub_sel, tables, kind: str, outer_names=None):
     """Classify a subquery's WHERE conjuncts into inner-only filters and
     (inner_col, outer_col) correlation equalities.  Standard SQL
     scoping: a conjunct whose columns all live in the inner table is
     inner-local; a single equality pairing one inner and one outer
     column is the correlation.  Limitation: qualifiers collapse at
-    parse time, so a SELF-correlation on the same column name
-    (i.s = outer.s over the same table) reads as an inner tautology —
-    rejected loudly below (a same-column equality is never a real
-    filter); correlate on distinct names or pre-alias in a derived
-    table."""
+    parse time, so a column-to-column comparison whose two names both
+    exist in the inner AND the outer scope (``f.entity_id = e.next_id``
+    with both sides over the same table, or the self-correlation
+    ``i.s = outer.s``) cannot be told from an inner filter — rejected
+    loudly below rather than silently read as one; correlate on
+    distinct names or pre-alias in a derived table.  ``outer_names``
+    (a set, or a callable returning one) is read only for such a
+    conjunct."""
     if not isinstance(sub_sel["table"], str):
         raise ValueError(f"{kind} subquery must reference a plain table")
     if sub_sel.get("join") is not None or sub_sel.get("group"):
@@ -2967,6 +2981,17 @@ def _split_correlation(sub_sel, tables, kind: str):
                 f"{kind} self-correlation on the same column name "
                 f"({conj[1][1]!r}) is unsupported: alias the inner "
                 "column in a derived table")
+        if (isinstance(conj, tuple) and (conj[0] == "eq" or conj[0] in _FLIP)
+                and conj[1][0] == "col" and conj[2][0] == "col"
+                and cc <= inner_names):
+            outer = (outer_names() if callable(outer_names)
+                     else outer_names) or set()
+            if cc <= set(outer):
+                raise ValueError(
+                    f"ambiguous {kind} conjunct {conj}: both column names "
+                    "exist in the inner and the outer scope and "
+                    "qualifiers collapse at parse time — alias one "
+                    "side's column in a derived table")
         if cc <= inner_names:
             inner_conjs.append(conj)
         elif (isinstance(conj, tuple) and conj[0] == "eq"
@@ -3000,25 +3025,15 @@ def _split_correlation(sub_sel, tables, kind: str):
 
 
 def _pending_semi_join(vals_ds, probe_node, pending):
-    """Bucketed semi/anti-join fallback for [NOT] EXISTS / IN (subquery)
-    whose distinct value set exceeds ``PROBE_COLLECT_THRESHOLD``: the
-    value set never collects to the driver.  Its first column is
-    projected, null-dropped, deduped through the map-side-combining
-    distinct exchange, tagged with an int8 marker, and LEFT-joined onto
-    the outer query on the probe column (the planner sees a derived
-    pipeline and picks the bucketed hash join).  The caller reduces the
-    probe to a null-test on the returned marker column.  Reference
-    analogue: the IdSet closure membership filter is applied
-    partition-side too (filter/filter.go:94-188)."""
-    if pending is None:
-        raise ValueError(
-            "subquery value set exceeds PROBE_COLLECT_THRESHOLD in a "
-            "context without join support")
-    if not (isinstance(probe_node, tuple) and probe_node[0] == "col"):
-        raise ValueError(
-            "subquery value set exceeds PROBE_COLLECT_THRESHOLD; the "
-            "bucketed semi-join fallback needs a plain column probe, "
-            f"got {probe_node!r}")
+    """Bucketed semi/anti-join for a value set above the broadcast cap
+    (:func:`_semi_join`): the set never collects to the driver.  Its
+    first column is projected, null-dropped, deduped through the
+    map-side-combining distinct exchange, tagged with an int8 marker,
+    and LEFT-joined onto the outer query on the plain probe column (the
+    planner sees a derived pipeline and picks the bucketed hash join).
+    The caller reduces the probe to a null-test on the returned marker
+    column.  Reference analogue: the IdSet closure membership filter is
+    applied partition-side too (filter/filter.go:94-188)."""
     from ..stages.shuffle import distinct as _distinct
 
     i = len(pending)
@@ -3047,17 +3062,86 @@ def _null_count_col0(ds) -> int:
     return int(parts["n"].sum()) if len(parts) else 0
 
 
+def _block_unique(t: pa.Table) -> pa.Table:
+    """Per-block dedup of a value subquery's first column (a NULL, if
+    any, survives as one value)."""
+    import pyarrow.compute as pc
+
+    return pa.table({"__sjv": pc.unique(t.column(0))})
+
+
+def _semi_join(vals_ds, probe, pending, broadcast_threshold, kind: str):
+    """The one semi-join primitive behind IN / NOT IN (subquery) and
+    correlated [NOT] EXISTS (``kind``: "in", "not_in", "exists",
+    "not_exists").  ``vals_ds`` is the value subquery, run once and
+    never through a DISTINCT exchange: each block dedups with
+    ``pc.unique``.  A set of at most ``broadcast_threshold`` values
+    (also taken whatever its size where no marker join can follow:
+    ``pending`` is None, or the probe is an expression) gathers into
+    one deduped Arrow array on the driver, whose null flag comes free,
+    and ships once by ``ray.put`` as an ``in_set`` node (``pc.is_in``
+    per batch, the 3VL of ``Expr.isin``).  A larger set takes the
+    bucketed marker join (:func:`_pending_semi_join`).  EXISTS ignores
+    NULL members (no inner value equals anything through NULL), and
+    NOT EXISTS is TRUE for a NULL probe, unlike NOT IN's 3VL."""
+    import ray
+
+    uniq = vals_ds.map_batches(_block_unique,
+                               batch_format="pyarrow").materialize()
+    exists = kind in ("exists", "not_exists")
+    negated = kind in ("not_in", "not_exists")
+    if (uniq.count() > broadcast_threshold and pending is not None
+            and isinstance(probe, tuple) and probe[0] == "col"):
+        m = _pending_semi_join(uniq, probe, pending)
+        if exists:
+            # NULL outer probes never match the marker join, so the
+            # null-test alone is exact for both polarities
+            return ("isnull", m) if negated else ("notnull", m)
+        # full 3VL over the marker join, polarity-safe: a member probe
+        # carries the marker (m IS NOT NULL); a NULL probe never
+        # matches; a NULL in the value set makes every non-match NULL.
+        # The null check is distributed (O(blocks))
+        hit = ("lit", not negated)
+        if _null_count_col0(uniq):
+            # member -> hit, anything else -> NULL
+            return ("case", [(("notnull", m), hit)], None)
+        # member -> hit, non-null non-member -> its negation, NULL
+        # probe -> NULL
+        return ("case", [(("notnull", m), hit),
+                         (("notnull", probe), ("lit", negated))], None)
+    blocks = [b for b in ray.get(uniq.to_arrow_refs()) if b.num_columns]
+    vs = (pa.concat_tables(blocks, promote_options="permissive")
+          .column(0).unique() if blocks else pa.array([]))
+    had_null = vs.null_count > 0 and not exists
+    vs = vs.drop_null()
+    if len(vs) == 0 and not had_null:
+        # EMPTY value set: the quantification is vacuous — IN / EXISTS
+        # are FALSE and NOT IN / NOT EXISTS TRUE for EVERY probe,
+        # including NULL
+        return _always_true(probe) if negated else _always_false(probe)
+    node = ("in_set", probe, ray.put(vs), had_null)
+    if kind == "not_exists":
+        # NULL probe rows satisfy NOT EXISTS (no inner row can equal NULL)
+        return ("or", ("isnull", probe), ("not", node))
+    # NOT IN: in_3vl is exact in every polarity (member -> FALSE,
+    # non-member with a NULL in the set -> NULL, NULL probe -> NULL),
+    # so plain negation survives an enclosing NOT
+    return ("not", node) if negated else node
+
+
 def _resolve_exists(sub_sel, tables, broadcast_threshold, outer_names,
                     negated: bool, pending=None):
     """[NOT] EXISTS (SELECT ... FROM inner WHERE inner.c = outer.c AND
     inner-only conjuncts): rewritten into a value-set semi/anti probe.
     Scoping is standard SQL — a conjunct whose columns all live in the
     inner table is inner-local; a single equality pairing one inner and
-    one outer column is the correlation.  Distinct value sets up to
-    ``PROBE_COLLECT_THRESHOLD`` broadcast as literals; larger sets take
-    the bucketed semi-join fallback (:func:`_pending_semi_join`).  NOT
-    EXISTS is true for a NULL outer probe (unlike NOT IN's 3VL)."""
-    inner_conjs, corr, ineq = _split_correlation(sub_sel, tables, "EXISTS")
+    one outer column is the correlation.  The equality form is a
+    semi-join on the inner column's values (:func:`_semi_join`: at most
+    ``broadcast_threshold`` values broadcast as one Arrow array, larger
+    sets take the bucketed marker join).  NOT EXISTS is true for a NULL
+    outer probe (unlike NOT IN's 3VL)."""
+    inner_conjs, corr, ineq = _split_correlation(sub_sel, tables, "EXISTS",
+                                                 outer_names)
     if ineq:
         # single inequality correlation (inner.m OP outer.x): EXISTS
         # iff the inner side's extreme value satisfies it — m > x has a
@@ -3107,24 +3191,11 @@ def _resolve_exists(sub_sel, tables, broadcast_threshold, outer_names,
                          "scope")
     sub_ast = {"selects": [dict(
         sub_sel, items=[(("col", ic), ic)],
-        where=_and_fold(inner_conjs), distinct=True)],
+        where=_and_fold(inner_conjs), distinct=False)],
         "set_ops": [], "order": None, "desc": None, "limit": None}
-    probe = ("col", oc)
-    vals_ds = _exec_ast(sub_ast, tables, broadcast_threshold).materialize()
-    # probe is always a plain column here; collect instead of raising
-    # when the context has no join support (pending is None)
-    if vals_ds.count() > PROBE_COLLECT_THRESHOLD and pending is not None:
-        m = _pending_semi_join(vals_ds, probe, pending)
-        # NULL outer probes never match the marker join, so the
-        # null-test alone is exact for both polarities
-        return ("isnull", m) if negated else ("notnull", m)
-    vals_df = vals_ds.to_pandas()
-    vals = (vals_df[vals_df.columns[0]].dropna().unique().tolist()
-            if len(vals_df) else [])
-    if negated:
-        # NULL probe rows satisfy NOT EXISTS (no inner row can equal NULL)
-        return ("or", ("isnull", probe), ("not", ("in", probe, vals)))
-    return ("in", probe, vals)
+    return _semi_join(_exec_ast(sub_ast, tables, broadcast_threshold),
+                      ("col", oc), pending, broadcast_threshold,
+                      "not_exists" if negated else "exists")
 
 
 def _build_cum_probe(pk: pd.DataFrame, fname: str, iop: str, oc: str):
@@ -3193,12 +3264,11 @@ def _build_cum_probe(pk: pd.DataFrame, fname: str, iop: str, oc: str):
 
 def _resolve_subqueries(node, tables, broadcast_threshold,
                         outer_names=None, pending=None):
-    """Replace ("in_sub", e, select) nodes with ("in", e, values): the
-    subquery runs first (its own plan, same table map) and its FIRST
-    column becomes the literal value set — the reference evaluates IN
-    sets eagerly too (sqlselect/tables.go:53-75).  Subquery results are
-    assumed driver-small (a value set, not a relation).  Also resolves
-    [NOT] EXISTS (semi/anti probe, see :func:`_resolve_exists`),
+    """Resolve ("in_sub", e, select) nodes through :func:`_semi_join`:
+    the subquery runs first (its own plan, same table map) and its FIRST
+    column becomes the value set — the reference evaluates IN sets
+    eagerly too (sqlselect/tables.go:53-75).  Also resolves [NOT]
+    EXISTS (semi/anti probe, see :func:`_resolve_exists`),
     uncorrelated scalar subqueries (eager literal), and CORRELATED
     scalar subqueries — decorrelated classically: the inner aggregates
     per correlation key, the result LEFT-joins onto the outer query (an
@@ -3227,7 +3297,7 @@ def _resolve_subqueries(node, tables, broadcast_threshold,
                 and sub_sel.get("join") is None
                 and not sub_sel.get("group")):
             inner_conjs, corr, ineq = _split_correlation(
-                sub_sel, tables, "scalar subquery")
+                sub_sel, tables, "scalar subquery", outer_names)
         if ineq:
             # single inequality correlation: decorrelate into a sorted
             # cumulative-aggregate probe (see _build_cum_probe)
@@ -3418,62 +3488,16 @@ def _resolve_subqueries(node, tables, broadcast_threshold,
         return ("case", [(fail, ("lit", False))], None) \
             if has_null else ("not", fail)
     if node[0] in ("in_sub", "not_in_sub"):
-        sub_ast = {"selects": [node[2]], "set_ops": [], "order": None,
-                   "desc": None, "limit": None}
-        sub_ds = _exec_ast(sub_ast, tables,
-                           broadcast_threshold).materialize()
+        # IN is set membership, so a DISTINCT in the value subquery
+        # would only add an exchange: _semi_join dedups per block
+        sub_ast = {"selects": [dict(node[2], distinct=False)],
+                   "set_ops": [], "order": None, "desc": None,
+                   "limit": None}
         e = _resolve_subqueries(node[1], tables, broadcast_threshold,
                                 outer_names, pending)
-        # the bucketed fallback joins on a plain probe COLUMN; an
-        # expression probe (e.g. lower(c) IN (...)) keeps the collect
-        # path whatever the set size — correct, just driver-bound
-        can_bucket = (pending is not None and isinstance(e, tuple)
-                      and len(e) > 0 and e[0] == "col")
-        if sub_ds.count() > PROBE_COLLECT_THRESHOLD and can_bucket:
-            # full 3VL over the marker join, polarity-safe: a member
-            # probe carries the marker (m IS NOT NULL); a NULL probe
-            # never matches; a NULL in the value set makes every
-            # non-match NULL.  The null check is distributed (O(blocks))
-            set_has_null = bool(_null_count_col0(sub_ds))
-            m = _pending_semi_join(sub_ds, e, pending)
-            if node[0] == "not_in_sub":
-                if set_has_null:
-                    # member -> FALSE, anything else -> NULL
-                    return ("case", [(("notnull", m), ("lit", False))],
-                            None)
-                # member -> FALSE, non-null non-member -> TRUE,
-                # NULL probe -> NULL
-                return ("case", [(("notnull", m), ("lit", False)),
-                                 (("notnull", e), ("lit", True))], None)
-            if set_has_null:
-                # member -> TRUE, anything else -> NULL
-                return ("case", [(("notnull", m), ("lit", True))], None)
-            return ("case", [(("notnull", m), ("lit", True)),
-                             (("notnull", e), ("lit", False))], None)
-        sub = sub_ds.to_pandas()
-        if len(sub.columns) == 0 or len(sub) == 0:
-            # EMPTY value set (to_pandas drops columns on zero-row
-            # datasets): the quantification is vacuous — IN is FALSE
-            # and NOT IN is TRUE for EVERY probe, including NULL
-            if node[0] == "not_in_sub":
-                return _always_true(e)
-            return _always_false(e)
-        col0 = sub[sub.columns[0]]
-        # keep NULL members (normalized from NaN): Expr.isin carries
-        # full 3VL, so a NULL in the set makes non-matches NULL — which
-        # NOT (x IN (...)) then propagates correctly
-        vals = [None if (v is None or (isinstance(v, float)
-                                       and np.isnan(v))) else v
-                for v in col0.unique().tolist()]
-        if node[0] == "not_in_sub":
-            # Expr.isin carries full 3VL (NULL probe -> NULL; NULL
-            # member -> non-matches NULL), so plain negation is exact:
-            # a NULL in the set makes NOT IN never TRUE, and the NULL
-            # (not FALSE) non-matches survive an enclosing NOT
-            # correctly — a _never()/notnull rewrite would only be
-            # equivalent in positive WHERE polarity
-            return ("not", ("in", e, vals))
-        return ("in", e, vals)
+        return _semi_join(_exec_ast(sub_ast, tables, broadcast_threshold),
+                          e, pending, broadcast_threshold,
+                          "not_in" if node[0] == "not_in_sub" else "in")
     return tuple(
         _resolve_subqueries(x, tables, broadcast_threshold, outer_names,
                             pending)
@@ -3595,7 +3619,7 @@ def _set_op(ds_a, ds_b, cols: list, op: str):
             out[c] = out[c].astype("Int64")
         return out
 
-    return bucketed_apply(both, cols, fn, n_buckets=32)
+    return bucketed_apply(both, cols, fn)
 
 
 RECURSIVE_MAX_ROUNDS = 100
@@ -3706,7 +3730,7 @@ def _exec_recursive_cte(name: str, colnames, ast, tables: dict,
     SEEN_DRIVER_MAX = 100_000
     seen_df = None
     if mode == "union" and seen.count() <= SEEN_DRIVER_MAX:
-        sd = _collect_small(seen)[list(names)]
+        sd = _collect_small(seen).to_pandas()[list(names)]
         if not sd.isna().any().any():
             seen_df = sd.drop_duplicates()
     for _round in range(RECURSIVE_MAX_ROUNDS):
@@ -3724,7 +3748,7 @@ def _exec_recursive_cte(name: str, colnames, ast, tables: dict,
                      and len(seen_df) + n_nxt <= SEEN_DRIVER_MAX)
             nxt_df = None
             if small:
-                nxt_df = _collect_small(nxt)[list(names)]
+                nxt_df = _collect_small(nxt).to_pandas()[list(names)]
                 if nxt_df.isna().any().any():
                     nxt_df = None
             if nxt_df is not None:

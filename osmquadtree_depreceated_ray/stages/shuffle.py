@@ -26,9 +26,6 @@ Contract for ``fn``: it must group by the key columns itself
 co-location, and must accept an EMPTY correctly-typed DataFrame
 (returning a correctly-typed empty result) — empty buckets receive
 zero-row frames carrying the input schema.
-
-Set ``GRAFT_SHUFFLE_IMPL=dsapi`` to fall back to the Dataset-API
-``groupby().map_groups`` path (kept for A/B measurement).
 """
 
 from __future__ import annotations
@@ -169,8 +166,6 @@ def bucketed_apply(
     of the concatenated results."""
     if n_buckets is None:
         n_buckets = default_buckets()
-    if os.environ.get("GRAFT_SHUFFLE_IMPL") == "dsapi":
-        return _bucketed_apply_dsapi(ds, keys, fn, n_buckets, combine)
 
     import ray
     import ray.data
@@ -206,27 +201,6 @@ def bucketed_apply(
     if not keep:
         keep = [outs[0][0]]
     return ray.data.from_arrow_refs(keep)
-
-
-def _bucketed_apply_dsapi(ds, keys, fn, n_buckets, combine=None):
-    """Dataset-API fallback (sort-based groupby) for A/B comparison."""
-    if combine is not None:
-        ds = ds.map_batches(
-            lambda df: combine(df), batch_format="pandas", batch_size=None)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        df = b.select(keys).to_pandas()
-        return b.append_column("bucket", pa.array(_stable_bucket(df, keys, n_buckets)))
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["bucket"])
-        return fn(g)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(run, batch_format="pandas")
-    )
 
 
 _SALT_MERGE = {"sum": "sum", "min": "min", "max": "max", "size": "sum",

@@ -72,35 +72,3 @@ def test_distinct_and_grouped_agg(ray_session):
     ).to_pandas().sort_values("a").reset_index(drop=True)
     assert g["n"].tolist() == [2, 3, 1]
     assert g["s"].tolist() == [2, 5, 3]
-
-
-def test_dsapi_fallback_matches_raw_exchange(ray_session, monkeypatch):
-    """GRAFT_SHUFFLE_IMPL=dsapi (the Dataset-API sort-based A/B path)
-    must produce the same results as the raw boundary-aware exchange,
-    for grouped_agg (with map-side combine) and a bucketed_apply fn."""
-    import ray
-
-    from osmquadtree_depreceated_ray.stages.shuffle import (
-        bucketed_apply, grouped_agg,
-    )
-
-    t = _skewed_table(20_000)
-
-    def run_agg():
-        ds = ray.data.from_arrow(t)
-        return (grouped_agg(ds, ["k"], {"s": ("v", "sum"),
-                                        "n": ("v", "size")})
-                .to_pandas().sort_values("k").reset_index(drop=True))
-
-    def run_apply():
-        ds = ray.data.from_arrow(t)
-        fn = lambda g: (g.groupby("k", as_index=False)["v"].max()
-                        .rename(columns={"v": "mx"}))
-        return (bucketed_apply(ds, ["k"], fn)
-                .to_pandas().sort_values("k").reset_index(drop=True))
-
-    raw_agg, raw_apply = run_agg(), run_apply()
-    monkeypatch.setenv("GRAFT_SHUFFLE_IMPL", "dsapi")
-    ds_agg, ds_apply = run_agg(), run_apply()
-    pd.testing.assert_frame_equal(raw_agg, ds_agg)
-    pd.testing.assert_frame_equal(raw_apply, ds_apply)

@@ -42,11 +42,11 @@ def t3():
     })
 
 
-def _run_both(sql, tabs, arrow_tabs):
+def _run_both(sql, tabs, arrow_tabs, broadcast_threshold=1_000_000):
     import ray
 
     ds_tabs = {k: ray.data.from_arrow(v) for k, v in arrow_tabs.items()}
-    got = parse_sql(sql, ds_tabs).to_pandas()
+    got = parse_sql(sql, ds_tabs, broadcast_threshold).to_pandas()
     con = duckdb.connect()
     for name, tbl in arrow_tabs.items():
         con.register(name, tbl)
@@ -883,15 +883,10 @@ def test_set_op_positional_alignment(ray_session, t1, t2):
         _run_both(sql, None, {"t1": t1, "t2": t2})
 
 
-def test_semi_join_fallback_large_value_sets(ray_session, t1, t2, t3,
-                                             monkeypatch):
-    """IN (subquery) / [NOT] EXISTS beyond PROBE_COLLECT_THRESHOLD take
-    the bucketed semi-join fallback (value set never collects to the
-    driver) — results must stay identical to the broadcast-literal path
-    and to DuckDB."""
-    from osmquadtree_depreceated_ray.pipelines import sqlparse as sp
-
-    monkeypatch.setattr(sp, "PROBE_COLLECT_THRESHOLD", 1)
+def test_semi_join_fallback_large_value_sets(ray_session, t1, t2, t3):
+    """IN (subquery) / [NOT] EXISTS beyond the broadcast cap take the
+    bucketed semi-join (value set never collects to the driver) —
+    results must stay identical to the broadcast path and to DuckDB."""
     for sql in [
         # IN (subquery), set size 3 > threshold 1
         "SELECT k, v FROM t1 WHERE s IN (SELECT gkey FROM t2 WHERE g < 3) "
@@ -917,19 +912,15 @@ def test_semi_join_fallback_large_value_sets(ray_session, t1, t2, t3,
         "SELECT s, COUNT(*) AS n FROM t1 WHERE EXISTS "
         "(SELECT 1 FROM t2 WHERE gkey = s AND g < 3) GROUP BY s",
     ]:
-        _run_both(sql, None, {"t1": t1, "t2": t2, "t3": t3})
+        _run_both(sql, None, {"t1": t1, "t2": t2, "t3": t3},
+                  broadcast_threshold=1)
 
 
-def test_semi_join_fallback_not_in_null_set(ray_session, t1, monkeypatch):
+def test_semi_join_fallback_not_in_null_set(ray_session, t1):
     """NOT IN against a large set containing NULL: 3VL — never TRUE."""
-    import ray
-
-    from osmquadtree_depreceated_ray.pipelines import sqlparse as sp
-
-    monkeypatch.setattr(sp, "PROBE_COLLECT_THRESHOLD", 1)
     tn = pa.table({"gkey": pa.array(["name_1", None, "name_2", "name_3"])})
     sql = "SELECT k FROM t1 WHERE s NOT IN (SELECT gkey FROM tn)"
-    _run_both(sql, None, {"t1": t1, "tn": tn})
+    _run_both(sql, None, {"t1": t1, "tn": tn}, broadcast_threshold=1)
 
 
 def test_numchar_maxwidth_reference_scalars(ray_session):
@@ -1085,17 +1076,13 @@ def test_lag_default_preserves_genuine_nulls(ray_session):
     assert got["ld"].fillna(-99).tolist() == want["ld"].fillna(-99).tolist()
 
 
-def test_in_subquery_expression_probe_collects(ray_session, t1, t2,
-                                               monkeypatch):
+def test_in_subquery_expression_probe_collects(ray_session, t1, t2):
     """An EXPRESSION probe (upper(s) IN (subquery)) cannot take the
-    bucketed semi-join fallback; above the threshold it must keep the
-    collect path and still return correct results, not raise."""
-    from osmquadtree_depreceated_ray.pipelines import sqlparse as sp
-
-    monkeypatch.setattr(sp, "PROBE_COLLECT_THRESHOLD", 0)
+    bucketed semi-join; above the broadcast cap it must keep the
+    broadcast path and still return correct results, not raise."""
     sql = ("SELECT k FROM t1 WHERE upper(s) IN "
            "(SELECT upper(gkey) FROM t2 WHERE g < 3) ORDER BY k LIMIT 40")
-    _run_both(sql, None, {"t1": t1, "t2": t2})
+    _run_both(sql, None, {"t1": t1, "t2": t2}, broadcast_threshold=0)
 
 
 def test_string_hash_regex_functions(ray_session):
@@ -1338,14 +1325,10 @@ NOT_POLARITY_BUCKETED = [
 
 
 @pytest.mark.parametrize("sql", NOT_POLARITY_BUCKETED)
-def test_semi_join_fallback_not_polarity(ray_session, tq, monkeypatch,
-                                         sql):
+def test_semi_join_fallback_not_polarity(ray_session, tq, sql):
     """The bucketed marker-join IN/NOT IN lowering keeps full 3VL in
     every polarity (NOT-wrapped probes, NULL members, NULL probes)."""
-    from osmquadtree_depreceated_ray.pipelines import sqlparse as sp
-
-    monkeypatch.setattr(sp, "PROBE_COLLECT_THRESHOLD", 0)
-    _run_both(sql, None, {"u": tq})
+    _run_both(sql, None, {"u": tq}, broadcast_threshold=0)
 
 
 # ------------------------------------------------------------------ joins v2:
@@ -1685,3 +1668,113 @@ def test_lateral_errors(ray_session, t1, t2):
     with pytest.raises(ValueError, match="derived table"):
         parse_sql("SELECT g FROM t2 CROSS JOIN LATERAL (SELECT k "
                   "FROM t1 ORDER BY k LIMIT 2) x", tabs)
+
+
+# ------------------------------------------------------------------ semi-join:
+# one primitive, two physical paths (broadcast array / bucketed marker join)
+
+
+@pytest.fixture(scope="module")
+def sj_tabs():
+    # probes: members, non-members and NULLs; value sets by tag — one
+    # with a NULL member, one empty (tag 'none' matches no row), one of
+    # many duplicates
+    po = pa.table({
+        "w": pa.array(np.arange(12, dtype=np.int64)),
+        "x": pa.array([1, 2, 3, 4, 5, None, 1, 3, None, 7, 4, 9],
+                      pa.int64()),
+    })
+    ys = [1, 2, None] + [3, 4] * 300 + [7]
+    tags = ["null"] * 3 + ["dup"] * 600 + ["one"]
+    vs = pa.table({"y": pa.array(ys, pa.int64()), "tag": pa.array(tags)})
+    return {"po": po, "vs": vs}
+
+
+SEMI_JOIN_FORMS = {
+    "in": "SELECT w, x FROM po WHERE x IN "
+          "(SELECT y FROM vs WHERE tag = '{t}')",
+    "not_in": "SELECT w, x FROM po WHERE x NOT IN "
+              "(SELECT y FROM vs WHERE tag = '{t}')",
+    "exists": "SELECT w, x FROM po WHERE EXISTS "
+              "(SELECT 1 FROM vs WHERE y = x AND tag = '{t}')",
+    "not_exists": "SELECT w, x FROM po WHERE NOT EXISTS "
+                  "(SELECT 1 FROM vs WHERE y = x AND tag = '{t}')",
+}
+
+
+@pytest.mark.parametrize("cap", [1_000_000, 0], ids=["broadcast", "bucketed"])
+@pytest.mark.parametrize("tag", ["null", "none", "dup"])
+@pytest.mark.parametrize("form", sorted(SEMI_JOIN_FORMS))
+def test_semi_join_paths_match_duckdb(ray_session, sj_tabs, monkeypatch,
+                                      form, tag, cap):
+    """IN / NOT IN / EXISTS / NOT EXISTS over a value set with a NULL
+    member, an empty set and a set of many duplicates, against NULL
+    probes: the broadcast array path and the bucketed marker-join path
+    both equal DuckDB, and the cap picks the path (an empty set is a
+    constant on either side of it)."""
+    from osmquadtree_depreceated_ray.pipelines import sqlparse as sp
+
+    calls = []
+    real = sp._pending_semi_join
+    monkeypatch.setattr(sp, "_pending_semi_join",
+                        lambda *a: calls.append(1) or real(*a))
+    _run_both(SEMI_JOIN_FORMS[form].format(t=tag), None, sj_tabs,
+              broadcast_threshold=cap)
+    assert bool(calls) == (cap == 0 and tag != "none")
+
+
+@pytest.mark.parametrize("cap", [1_000_000, 0], ids=["broadcast", "bucketed"])
+def test_exists_same_table_correlation_rejected(ray_session, cap):
+    """A correlated [NOT] EXISTS over the outer query's own table cannot
+    tell ``f.entity_id = e.next_id`` from an inner filter once qualifiers
+    collapse: it must raise, not return a wrong answer."""
+    import ray
+
+    ent = pa.table({
+        "entity_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "next_id": pa.array([2, 3, 4, None], pa.int64()),
+        "kind": pa.array(["city", "city", "peak", "city"]),
+    })
+    tabs = {"entities": ray.data.from_arrow(ent)}
+    for neg in ("NOT ", ""):
+        sql = ("SELECT kind, COUNT(*) AS n FROM entities e WHERE "
+               f"{neg}EXISTS (SELECT 1 FROM entities f WHERE "
+               "f.entity_id = e.next_id AND f.kind = 'city') GROUP BY kind")
+        with pytest.raises(ValueError, match="ambiguous EXISTS"):
+            parse_sql(sql, tabs, broadcast_threshold=cap)
+
+
+def test_driver_read_small_sees_through_column_pruning(ray_session,
+                                                       tmp_path):
+    """The driver-side fast path reads a parquet Read under a columns-only
+    Project (exactly the pruned columns, in order) and refuses a Project
+    with renames or expressions, or a Read of more than 16 files."""
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data.expressions import col as rcol
+
+    from osmquadtree_depreceated_ray.pipelines.sqlparse import (
+        _driver_read_small,
+    )
+
+    t = pa.table({"a": pa.array([1, 2, 3], pa.int64()),
+                  "b": pa.array(["x", "y", "z"]),
+                  "c": pa.array([0.5, 1.5, 2.5])})
+    one = tmp_path / "one.parquet"
+    pq.write_table(t, one)
+    ds = ray.data.read_parquet(str(one))
+    assert _driver_read_small(ds).equals(t)
+    got = _driver_read_small(ds.select_columns(["c", "a"]))
+    assert got.equals(t.select(["c", "a"]))
+    assert _driver_read_small(ds.rename_columns({"a": "z"})) is None
+    assert _driver_read_small(ds.with_column("d", rcol("a") + 1)) is None
+    assert _driver_read_small(
+        ds.map_batches(lambda b: b, batch_format="pyarrow")) is None
+
+    many = tmp_path / "many"
+    many.mkdir()
+    for i in range(17):
+        pq.write_table(t, many / f"part-{i:02d}.parquet")
+    wide = ray.data.read_parquet(str(many))
+    assert _driver_read_small(wide) is None
+    assert _driver_read_small(wide.select_columns(["a"])) is None
