@@ -66,9 +66,11 @@ def ensure_pages() -> str:
         os.makedirs(PAGES_CACHE, exist_ok=True)
         chunk = 1_000_000
         offsets = list(range(0, BENCH_PAGES, chunk))
-        gen = ray.remote(_write_chunk)
+        from osmquadtree_depreceated_ray.stages.exchange import remote
+
         ray.get([
-            gen.remote(PAGES_CACHE, k, min(chunk, BENCH_PAGES - off), off)
+            remote(_write_chunk).remote(
+                PAGES_CACHE, k, min(chunk, BENCH_PAGES - off), off)
             for k, off in enumerate(offsets)
         ])
         with open(marker, "w") as f:
@@ -126,6 +128,22 @@ def _cpu_delta(before: dict, after: dict) -> float:
     return sum(v - before.get(pid, 0.0) for pid, v in after.items())
 
 
+def _warm(i):
+    import time as _t
+
+    import numpy  # noqa: F401
+    import pandas  # noqa: F401
+    import pyarrow  # noqa: F401
+    import pyarrow.parquet  # noqa: F401
+
+    from osmquadtree_depreceated_ray.pipelines import tile  # noqa: F401
+    from osmquadtree_depreceated_ray.stages import (  # noqa: F401
+        assign, extract, write_tiles,
+    )
+    _t.sleep(0.2)  # hold the worker so every slot spawns + imports
+    return i
+
+
 def run_headline(num_cpus: int) -> dict:
     import ray
 
@@ -134,6 +152,7 @@ def run_headline(num_cpus: int) -> dict:
     ray.data.DataContext.get_current().enable_progress_bars = False
     from osmquadtree_depreceated_ray.pipelines import tile as tp
     from osmquadtree_depreceated_ray.pipelines.queries import rect_polys_table
+    from osmquadtree_depreceated_ray.stages.exchange import remote
     from osmquadtree_depreceated_ray.stages.spatial import PIPActor, PolygonIndex
 
     pages_path = ensure_pages()
@@ -153,23 +172,7 @@ def run_headline(num_cpus: int) -> dict:
     # ~1-2 CPU-s of numpy/pandas/pyarrow import on its first real task,
     # a per-worker fixed cost that a long-running cluster amortizes to
     # zero but that would otherwise bill ~2s x num_cpus to the wider leg
-    def _warm(i):
-        import time as _t
-
-        import numpy  # noqa: F401
-        import pandas  # noqa: F401
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-
-        from osmquadtree_depreceated_ray.pipelines import tile  # noqa: F401
-        from osmquadtree_depreceated_ray.stages import (  # noqa: F401
-            assign, extract, write_tiles,
-        )
-        _t.sleep(0.2)  # hold the worker so every slot spawns + imports
-        return i
-
-    warm = ray.remote(num_cpus=1)(_warm)
-    ray.get([warm.remote(i) for i in range(num_cpus)])
+    ray.get([remote(_warm).remote(i) for i in range(num_cpus)])
 
     out = f"{OUT_BASE}/out_{num_cpus}"
     shutil.rmtree(out, ignore_errors=True)

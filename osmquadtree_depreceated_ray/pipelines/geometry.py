@@ -43,6 +43,7 @@ from ..functions import geom as G
 from ..functions import tags_rings as TR
 from ..functions import wkb as WKB
 from ..functions.quadtree import calculate, calculate_point, qt_common, qt_round
+from ..stages.exchange import remote
 from ..stages.shuffle import bucketed_apply
 
 GEOM_POINT = 1
@@ -965,7 +966,7 @@ def write_geojson_tiled(store_dir: str, dest_dir: str,
     man = mf.read_manifest(store_dir)
     tiles = [int(t) for t in man.column("tile").to_pylist()
              if os.path.isdir(os.path.join(data, f"tile={int(t)}"))]
-    task = _get_geojson_remote()
+    task = remote(_write_geojson_tile_impl)
     suffix = ".geojsonl.gz" if gzip_out else ".geojsonl"
     refs = [
         task.remote(os.path.join(data, f"tile={t}"),
@@ -974,18 +975,6 @@ def write_geojson_tiled(store_dir: str, dest_dir: str,
     ]
     counts = ray.get(refs)
     return {"features": int(sum(counts)), "tiles": len(tiles)}
-
-
-_geojson_task = None
-
-
-def _get_geojson_remote():
-    global _geojson_task
-    if _geojson_task is None:
-        import ray
-
-        _geojson_task = ray.remote(_write_geojson_tile_impl)
-    return _geojson_task
 
 
 def _wkb_to_coords(buf: bytes):

@@ -400,9 +400,12 @@ def q_join_native(sf_dir: str):
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
+    # Ray's hash-shuffle join reserves one CPU per aggregator actor by
+    # default; on a 1-CPU cluster that starves the read and map tasks
+    # the aggregators wait on, and the join never finishes
     joined = orders.join(
         cust, join_type="inner", on=("o_custkey",), right_on=("c_custkey",),
-        num_partitions=8,
+        num_partitions=8, aggregator_ray_remote_args={"num_cpus": 0},
     )
 
     def to_cents(b: pa.Table) -> pa.Table:

@@ -5,9 +5,10 @@ PII-style redaction, and TF-IDF top terms.
 
 These extend the engine beyond the reference's own surface (the task
 brief's "operations a large-scale training-data pipeline would need");
-the distributed shapes reuse the bucketed-exchange primitives of
-``stages/shuffle.py``.  All numeric outputs are exact-integer or
-correctly-rounded IEEE doubles so the DuckDB oracles hash-match.
+the distributed shapes run on the bucketed exchange of
+``stages/exchange.py`` (directly, or through ``stages/shuffle.py``).
+All numeric outputs are exact-integer or correctly-rounded IEEE
+doubles so the DuckDB oracles hash-match.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import block_groups, exchange, route
 from .queries_text import _md5_lower64
 
 # ------------------------------------------------------------ shared helpers
@@ -64,7 +66,7 @@ def _explode_words(b: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 #   scatter (per bucket): join local original edges AND the current
 #     shortcut shard to local labels -> candidate (dst, label(src))
 #     rows, plus next round's shortcut (label(v), v) for every
-#     non-root v, all hash-routed with num_returns=_cc_buckets()
+#     non-root v, all hash-routed into _cc_buckets() pieces
 #   gather (per bucket): min-merge candidates into the local labels,
 #     collect incoming shortcuts as the next round's shard,
 #     return (sc, labels, n_changed)
@@ -122,11 +124,8 @@ def _cc_init_split_impl(n, kind, *blocks):
         out = pd.DataFrame({"node": ids, "label": ids,
                             "chg": np.ones(len(ids), np.int8)})
         key = ids
-    bk = _cc_route(key, n)
-    return tuple(
-        pa.Table.from_pandas(out[bk == i], preserve_index=False)
-        for i in range(n)
-    )
+    return route(_cc_route(key, n), n,
+                 pa.Table.from_pandas(out, preserve_index=False))
 
 
 def _cc_concat_impl(*pieces):
@@ -183,12 +182,8 @@ def _cc_scatter_impl(n, edges, sc, labels):
     dst = np.concatenate([np.full(len(cand_node), -1, np.int64), sc_dst])
     label = np.concatenate([cand_label,
                             np.full(len(sc_src), -1, np.int64)])
-    bk = _cc_route(node, n)
-    return tuple(
-        pa.table({"node": node[bk == i], "dst": dst[bk == i],
-                  "label": label[bk == i]})
-        for i in range(n)
-    )
+    return route(_cc_route(node, n), n,
+                 {"node": node, "dst": dst, "label": label})
 
 
 def _cc_gather_impl(labels, sc, *pieces):
@@ -239,21 +234,6 @@ def _cc_gather_impl(labels, sc, *pieces):
             changed)
 
 
-_CC_FNS: dict = {}
-
-
-def _cc_remote_fns():
-    """Exported once per session (same rationale as shuffle.py)."""
-    if not _CC_FNS:
-        import ray
-
-        _CC_FNS["init"] = ray.remote(_cc_init_split_impl)
-        _CC_FNS["concat"] = ray.remote(_cc_concat_impl)
-        _CC_FNS["scatter"] = ray.remote(_cc_scatter_impl)
-        _CC_FNS["gather"] = ray.remote(_cc_gather_impl)
-    return _CC_FNS
-
-
 def cc_label_refs(pairs_ds, ids_ds):
     """Run the pointer-doubling label propagation over an undirected
     pair Dataset (columns a, b) and a node Dataset (column doc_id);
@@ -262,17 +242,11 @@ def cc_label_refs(pairs_ds, ids_ds):
     dedup clustering and spatial DBSCAN."""
     import ray
 
-    fns = _cc_remote_fns()
     n = _cc_buckets()
 
     def shard(ds, kind):
-        refs = [r for bu in ds.iter_internal_ref_bundles()
-                for r in bu.block_refs]
-        n_tasks = max(1, min(len(refs), n))
-        groups = [refs[i::n_tasks] for i in range(n_tasks)]
-        pieces = [fns["init"].options(num_returns=n).remote(n, kind, *g)
-                  for g in groups if g]
-        if not pieces:
+        groups = block_groups(ds, n)
+        if not groups:
             empty = pa.table({"node": pa.array([], pa.int64()),
                               "label": pa.array([], pa.int64()),
                               "chg": pa.array([], pa.int8())})
@@ -280,8 +254,8 @@ def cc_label_refs(pairs_ds, ids_ds):
                 empty = pa.table({"src": pa.array([], pa.int64()),
                                   "dst": pa.array([], pa.int64())})
             return [ray.put(empty) for _ in range(n)]
-        return [fns["concat"].remote(*[p[b] for p in pieces])
-                for b in range(n)]
+        return exchange(_cc_init_split_impl, [(n, kind, *g) for g in groups],
+                        _cc_concat_impl, [()] * n, n)
 
     edges = shard(pairs_ds, "edges")
     labels = shard(ids_ds, "labels")
@@ -290,11 +264,11 @@ def cc_label_refs(pairs_ds, ids_ds):
                          "fresh": pa.array([], pa.int8())})
     sc = [ray.put(empty_sc) for _ in range(n)]
     for _ in range(CC_MAX_ROUNDS):
-        outs = [fns["scatter"].options(num_returns=n).remote(
-            n, edges[b], sc[b], labels[b]) for b in range(n)]
-        gathered = [fns["gather"].options(num_returns=3).remote(
-            labels[b], sc[b], *[outs[s][b] for s in range(n)])
-            for b in range(n)]
+        gathered = exchange(
+            _cc_scatter_impl, [(n, edges[b], sc[b], labels[b])
+                               for b in range(n)],
+            _cc_gather_impl, [(labels[b], sc[b]) for b in range(n)],
+            n, returns=3)
         sc = [g[0] for g in gathered]
         labels = [g[1] for g in gathered]
         if sum(ray.get([g[2] for g in gathered])) == 0:

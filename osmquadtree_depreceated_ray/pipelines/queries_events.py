@@ -14,6 +14,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import remote
+
 SESSION_GAP_S = 1800
 
 
@@ -1088,6 +1090,19 @@ ORACLES["interval_merge"] = sql_interval_merge()
 CONC_DUR_US = 300_000_000  # 5-minute sessions
 
 
+def _conc_block_partial(block: pa.Table):
+    """(sort keys, delta sum, running peak) of one sorted delta block."""
+    if block.num_rows == 0:
+        return None
+    t = block.column("t").to_numpy()
+    d = block.column("d").to_numpy()
+    c = np.cumsum(d)
+    # first AND last sort keys: blocks sharing a first key (a tie group
+    # split across blocks) order by where they END
+    return ((int(t[0]), int(d[0]), int(t[-1]), int(d[-1])),
+            int(c[-1]), int(c.max()))
+
+
 def q_max_concurrency(sf_dir: str):
     """One row: (n_events, peak) over CONC_DUR_US event intervals."""
     import ray
@@ -1108,21 +1123,9 @@ def q_max_concurrency(sf_dir: str):
     dl = ds.map_batches(deltas, batch_format="pyarrow") \
         .sort(["t", "d"]).materialize()
 
-    @ray.remote
-    def block_partial(block: pa.Table):
-        if block.num_rows == 0:
-            return None
-        t = block.column("t").to_numpy()
-        d = block.column("d").to_numpy()
-        c = np.cumsum(d)
-        # first AND last sort keys: blocks sharing a first key (a tie
-        # group split across blocks) order by where they END
-        return ((int(t[0]), int(d[0]), int(t[-1]), int(d[-1])),
-                int(c[-1]), int(c.max()))
-
     refs = [r for bu in dl.iter_internal_ref_bundles()
             for r in bu.block_refs]
-    parts = ray.get([block_partial.remote(r) for r in refs])
+    parts = ray.get([remote(_conc_block_partial).remote(r) for r in refs])
     parts = sorted((p for p in parts if p is not None),
                    key=lambda p: p[0])
     peak, offset = 0, 0

@@ -12,9 +12,10 @@ non-existent pages removed by a distributed existence semi-join (so
 gappy id spaces produce dangling pages, handled with the standard
 teleport redistribution).
 
-Distributed shape (the same raw bucketed exchange as the
-connected-components operator in ``queries_curate.py`` — an iterative
-fixpoint is the one place the Dataset API genuinely doesn't fit):
+Distributed shape (waves of the raw bucketed exchange of
+``stages/exchange.py``, which the connected-components operator in
+``queries_curate.py`` runs too — an iterative fixpoint is the one place
+the Dataset API genuinely doesn't fit):
 
 * doc_ids are hash-sharded once into ``node`` buckets; edges are
   generated FROM each node shard (edge src lives in its own bucket by
@@ -50,6 +51,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.exchange import (
+    block_groups, exchange, gather, remote, route, scatter,
+)
+from .queries_curate import _cc_concat_impl, _cc_route
+
 PR_LINKS = 4
 PR_DAMPING = 0.85
 PR_ITERS = 3
@@ -63,8 +69,11 @@ def _pr_buckets() -> int:
     return default_buckets(floor=16)
 
 
-def _pr_route(node: np.ndarray, n: int) -> np.ndarray:
-    return (node.astype(np.uint64) % np.uint64(n)).astype(np.int64)
+def _doc_ids(sf_dir: str):
+    import ray.data
+
+    return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                 columns=["doc_id"])
 
 
 def _pr_split_nodes_impl(n, *blocks):
@@ -77,12 +86,7 @@ def _pr_split_nodes_impl(n, *blocks):
             for t in tbls if "doc_id" in t.column_names]
     ids = (np.concatenate(arrs) if arrs
            else np.zeros(0, np.int64))
-    bk = _pr_route(ids, n)
-    return tuple(pa.table({"node": ids[bk == i]}) for i in range(n))
-
-
-def _pr_concat_impl(*pieces):
-    return pa.concat_tables(pieces, promote_options="default")
+    return route(_cc_route(ids, n), n, {"node": ids})
 
 
 def _pr_stats_impl(shard):
@@ -100,9 +104,7 @@ def _pr_cand_impl(n, mod, shard):
     dst = (src * _A + j * _B + _C) % mod
     keep = dst != src
     src, dst = src[keep], dst[keep]
-    bk = _pr_route(dst, n)
-    return tuple(pa.table({"src": src[bk == i], "dst": dst[bk == i]})
-                 for i in range(n))
+    return route(_cc_route(dst, n), n, {"src": src, "dst": dst})
 
 
 def _pr_filter_impl(n, nodes, *pieces):
@@ -121,11 +123,8 @@ def _pr_filter_impl(n, nodes, *pieces):
         keep = np.zeros(len(dst), bool)
     src, dst = src[keep], dst[keep]
     df = pd.DataFrame({"src": src, "dst": dst}).drop_duplicates()
-    bk = _pr_route(df["src"].to_numpy(), n)
-    return tuple(
-        pa.Table.from_pandas(df[bk == i], preserve_index=False)
-        for i in range(n)
-    )
+    return route(_cc_route(df["src"].to_numpy(), n), n,
+                 pa.Table.from_pandas(df, preserve_index=False))
 
 
 def _pr_state_impl(nodes, inv_n, *pieces):
@@ -147,7 +146,7 @@ def _pr_state_impl(nodes, inv_n, *pieces):
 def _pr_scatter_impl(n, edges, state):
     """One bucket's scatter: per-edge contribution rank/outdeg, map-side
     combined by dst, routed to the dst's home bucket; the bucket's
-    dangling-rank sum rides as the final (scalar) return."""
+    dangling-rank sum rides first, as a scalar side output."""
     e = edges.to_pandas()
     s = state.to_pandas()
     m = e.merge(s, left_on="src", right_on="node", how="inner")
@@ -155,11 +154,9 @@ def _pr_scatter_impl(n, edges, state):
     contrib = (pd.DataFrame({"dst": m["dst"].to_numpy(np.int64), "s": w})
                .groupby("dst", sort=False, as_index=False)["s"].sum())
     dangling = float(s.loc[s["outdeg"] == 0, "rank"].sum())
-    bk = _pr_route(contrib["dst"].to_numpy(), n)
-    return tuple(
-        pa.Table.from_pandas(contrib[bk == i], preserve_index=False)
-        for i in range(n)
-    ) + (dangling,)
+    return (dangling,) + route(
+        _cc_route(contrib["dst"].to_numpy(), n), n,
+        pa.Table.from_pandas(contrib, preserve_index=False))
 
 
 def _pr_gather_impl(state, inv_n, dang_total, *pieces):
@@ -177,105 +174,61 @@ def _pr_gather_impl(state, inv_n, dang_total, *pieces):
     })
 
 
-_PR_FNS: dict = {}
-
-
-def _pr_remote_fns():
-    if not _PR_FNS:
-        import ray
-
-        for k, f in (("split", _pr_split_nodes_impl),
-                     ("concat", _pr_concat_impl),
-                     ("stats", _pr_stats_impl),
-                     ("cand", _pr_cand_impl),
-                     ("filter", _pr_filter_impl),
-                     ("state", _pr_state_impl),
-                     ("scatter", _pr_scatter_impl),
-                     ("gather", _pr_gather_impl)):
-            _PR_FNS[k] = ray.remote(f)
-    return _PR_FNS
-
-
-def _directed_shards(sf_dir: str, inv_n_for_state: float = 0.0):
-    """Node shards + DIRECTED edge/state shards (the PageRank init
-    waves).  Returns (n, nodes, stats, edges, state); edges/state are
-    None for an empty documents table."""
+def _directed_shards(ds, cand=_pr_cand_impl):
+    """Node shards + DIRECTED edge/state shards of a doc_id Dataset's
+    synthetic link graph (the PageRank init waves; ``cand`` synthesises
+    the candidate links).  Returns (n, nodes, edges, state, inv_n);
+    edges and state are None for an empty table."""
     import ray
-    import ray.data
 
-    fns = _pr_remote_fns()
     n = _pr_buckets()
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    refs = [r for bu in ds.iter_internal_ref_bundles()
-            for r in bu.block_refs]
-    n_tasks = max(1, min(len(refs), n))
-    groups = [refs[i::n_tasks] for i in range(n_tasks)]
-    pieces = [fns["split"].options(num_returns=n).remote(n, *g)
-              for g in groups if g]
-    nodes = [fns["concat"].remote(*[p[b] for p in pieces])
-             for b in range(n)]
-    stats = ray.get([fns["stats"].remote(nodes[b]) for b in range(n)])
-    mod = max((m for _, m in stats), default=-1) + 1
-    if mod == 0:
-        return n, nodes, stats, None, None
-    cand = [fns["cand"].options(num_returns=n).remote(n, mod, nodes[b])
-            for b in range(n)]
-    kept = [fns["filter"].options(num_returns=n).remote(
-        n, nodes[b], *[cand[s][b] for s in range(n)]) for b in range(n)]
-    built = [fns["state"].options(num_returns=2).remote(
-        nodes[b], inv_n_for_state, *[kept[s][b] for s in range(n)])
-        for b in range(n)]
-    return (n, nodes, stats, [bt[0] for bt in built],
-            [bt[1] for bt in built])
+    groups = block_groups(ds, n)
+    if not groups:
+        return n, None, None, None, 0.0
+    nodes = exchange(_pr_split_nodes_impl, [(n, *g) for g in groups],
+                     _cc_concat_impl, [()] * n, n)
+    stats = ray.get([remote(_pr_stats_impl).remote(v) for v in nodes])
+    n_docs = sum(c for c, _ in stats)
+    if n_docs == 0:
+        return n, nodes, None, None, 0.0
+    mod = max(m for _, m in stats) + 1
+    inv_n = 1.0 / n_docs
+    _, cands = scatter(cand, [(n, mod, v) for v in nodes], n)
+    _, kept = scatter(_pr_filter_impl, [(n, v) for v in nodes], n,
+                      grid=cands)
+    built = gather(_pr_state_impl, [(v, inv_n) for v in nodes], kept,
+                   returns=2)
+    return n, nodes, [b[0] for b in built], [b[1] for b in built], inv_n
+
+
+def _rank_rounds(n, edges, state, gather_fn, inv, iters=PR_ITERS):
+    """``iters`` scatter/gather rounds of a PageRank-style power
+    iteration; ``gather_fn(state, inv, dangling total, *pieces)``
+    applies the teleport."""
+    import ray
+
+    for _ in range(iters):
+        sides, contrib = scatter(_pr_scatter_impl,
+                                 [(n, e, s) for e, s in zip(edges, state)],
+                                 n, side=1)
+        dang_total = sum(ray.get([d for d, in sides]))
+        state = gather(gather_fn, [(s, inv, dang_total) for s in state],
+                       contrib)
+    return state
 
 
 def pagerank(doc_ids_ds, iters: int = PR_ITERS):
     """Distributed PageRank over the synthetic link graph of a doc_id
     Dataset.  Returns a Dataset (doc_id, out_links, pagerank_q12)."""
-    import ray
+    import ray.data
 
-    fns = _pr_remote_fns()
-    n = _pr_buckets()
-
-    refs = [r for bu in doc_ids_ds.iter_internal_ref_bundles()
-            for r in bu.block_refs]
-    n_tasks = max(1, min(len(refs), n))
-    groups = [refs[i::n_tasks] for i in range(n_tasks)]
-    pieces = [fns["split"].options(num_returns=n).remote(n, *g)
-              for g in groups if g]
-    nodes = [fns["concat"].remote(*[p[b] for p in pieces])
-             for b in range(n)]
-
-    stats = ray.get([fns["stats"].remote(nodes[b]) for b in range(n)])
-    n_docs = sum(c for c, _ in stats)
-    mod = max(m for _, m in stats) + 1
-    if n_docs == 0:
-        import ray.data
-
+    n, _nodes, edges, state, inv_n = _directed_shards(doc_ids_ds)
+    if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "out_links": pa.array([], pa.int64()),
             "pagerank_q12": pa.array([], pa.int64())}))
-    inv_n = 1.0 / n_docs
-
-    cand = [fns["cand"].options(num_returns=n).remote(n, mod, nodes[b])
-            for b in range(n)]
-    kept = [fns["filter"].options(num_returns=n).remote(
-        n, nodes[b], *[cand[s][b] for s in range(n)]) for b in range(n)]
-    built = [fns["state"].options(num_returns=2).remote(
-        nodes[b], inv_n, *[kept[s][b] for s in range(n)])
-        for b in range(n)]
-    edges = [bt[0] for bt in built]
-    state = [bt[1] for bt in built]
-
-    for _ in range(iters):
-        outs = [fns["scatter"].options(num_returns=n + 1).remote(
-            n, edges[b], state[b]) for b in range(n)]
-        dang_total = sum(ray.get([outs[b][n] for b in range(n)]))
-        state = [fns["gather"].remote(
-            state[b], inv_n, dang_total, *[outs[s][b] for s in range(n)])
-            for b in range(n)]
+    state = _rank_rounds(n, edges, state, _pr_gather_impl, inv_n, iters)
 
     def finish(t: pa.Table) -> pa.Table:
         r = t.column("rank").to_numpy()
@@ -285,18 +238,12 @@ def pagerank(doc_ids_ds, iters: int = PR_ITERS):
             "pagerank_q12": np.floor(r * PR_QUANT + 0.5).astype(np.int64),
         })
 
-    import ray.data
-
     return ray.data.from_arrow_refs(state).map_batches(
         finish, batch_format="pyarrow")
 
 
 def q_pagerank(sf_dir: str):
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    return pagerank(ds)
+    return pagerank(_doc_ids(sf_dir))
 
 
 def sql_pagerank() -> str:
@@ -378,9 +325,7 @@ def _tri_wedges_impl(n, edges):
     a = w["src"].to_numpy(np.int64)
     b = w["dst_1"].to_numpy(np.int64)
     c = w["dst_2"].to_numpy(np.int64)
-    bk = _pr_route(b, n)
-    return tuple(pa.table({"a": a[bk == i], "b": b[bk == i],
-                           "c": c[bk == i]}) for i in range(n))
+    return route(_cc_route(b, n), n, {"a": a, "b": b, "c": c})
 
 
 def _tri_close_impl(n, edges, *pieces):
@@ -396,11 +341,8 @@ def _tri_close_impl(n, edges, *pieces):
                               t["c"].to_numpy(np.int64)])
     cnt = (pd.DataFrame({"node": corners})
            .groupby("node", sort=False).size().reset_index(name="n"))
-    bk = _pr_route(cnt["node"].to_numpy(), n)
-    return tuple(
-        pa.Table.from_pandas(cnt[bk == i], preserve_index=False)
-        for i in range(n)
-    )
+    return route(_cc_route(cnt["node"].to_numpy(), n), n,
+                 pa.Table.from_pandas(cnt, preserve_index=False))
 
 
 def _tri_finish_impl(nodes, *pieces):
@@ -411,38 +353,27 @@ def _tri_finish_impl(nodes, *pieces):
     return pa.table({"doc_id": node, "n_tri": out})
 
 
-def _register_graph_fns():
-    import ray
-
-    fns = _pr_remote_fns()
-    for k, f in (("tri_wedges", _tri_wedges_impl),
-                 ("tri_close", _tri_close_impl),
-                 ("tri_finish", _tri_finish_impl),
-                 ("rev", _pr_reverse_impl),
-                 ("undirect", _pr_undirect_impl),
-                 ("lp_wedges", _lp_wedges_impl),
-                 ("lp_close", _lp_close_impl),
-                 ("coef_finish", _coef_finish_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
-    return fns
-
-
-def _graph_shards(sf_dir: str):
+def _graph_shards(sf_dir: str, cand=_pr_cand_impl):
     """Node + UNDIRECTED edge shards of the synthetic link graph:
     the PageRank init waves (shard, synthesise, existence-semi-join)
     plus one reverse wave and a dedup, shared by every undirected
     graph operator.  Returns (n, nodes, edges); edges is None for an
     empty documents table."""
-    _register_graph_fns()
-    n, nodes, _stats, fwd, _state = _directed_shards(sf_dir)
+    n, nodes, fwd, _state, _inv_n = _directed_shards(_doc_ids(sf_dir), cand)
     if fwd is None:
         return n, nodes, None
-    rev = [_PR_FNS["rev"].options(num_returns=n).remote(n, fwd[b])
-           for b in range(n)]
-    edges = [_PR_FNS["undirect"].remote(
-        fwd[b], *[rev[s][b] for s in range(n)]) for b in range(n)]
+    edges = exchange(_pr_reverse_impl, [(n, e) for e in fwd],
+                     _pr_undirect_impl, [(e,) for e in fwd], n)
     return n, nodes, edges
+
+
+def _triangle_corners(n, edges):
+    """The wedge and close waves: per split task, the (node, n)
+    triangle-corner pieces bound for each node's home bucket."""
+    _, wedges = scatter(_tri_wedges_impl, [(n, e) for e in edges], n)
+    _, corners = scatter(_tri_close_impl, [(n, e) for e in edges], n,
+                         grid=wedges)
+    return corners
 
 
 def q_triangles(sf_dir: str):
@@ -455,23 +386,16 @@ def q_triangles(sf_dir: str):
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "n_tri": pa.array([], pa.int64())}))
-    wedges = [_PR_FNS["tri_wedges"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    closed = [_PR_FNS["tri_close"].options(num_returns=n).remote(
-        n, edges[b], *[wedges[s][b] for s in range(n)])
-        for b in range(n)]
-    out = [_PR_FNS["tri_finish"].remote(
-        nodes[b], *[closed[s][b] for s in range(n)]) for b in range(n)]
-    return ray.data.from_arrow_refs(out)
+    return ray.data.from_arrow_refs(gather(
+        _tri_finish_impl, [(v,) for v in nodes],
+        _triangle_corners(n, edges)))
 
 
 def _pr_reverse_impl(n, edges):
     """(src, dst) -> (dst, src) rows routed to bucket(dst)."""
     src = edges.column("src").to_numpy().astype(np.int64)
     dst = edges.column("dst").to_numpy().astype(np.int64)
-    bk = _pr_route(dst, n)
-    return tuple(pa.table({"src": dst[bk == i], "dst": src[bk == i]})
-                 for i in range(n))
+    return route(_cc_route(dst, n), n, {"src": dst, "dst": src})
 
 
 def sql_triangles() -> str:
@@ -530,9 +454,7 @@ def _lp_wedges_impl(n, edges):
     w = w[w["dst_1"] < w["dst_2"]]
     b = w["dst_1"].to_numpy(np.int64)
     c = w["dst_2"].to_numpy(np.int64)
-    bk = _pr_route(b, n)
-    return tuple(pa.table({"b": b[bk == i], "c": c[bk == i]})
-                 for i in range(n))
+    return route(_cc_route(b, n), n, {"b": b, "c": c})
 
 
 def _lp_close_impl(edges, *pieces):
@@ -564,11 +486,9 @@ def q_link_predict(sf_dir: str):
             "src": pa.array([], pa.int64()),
             "dst": pa.array([], pa.int64()),
             "common": pa.array([], pa.int64())}))
-    wedges = [_PR_FNS["lp_wedges"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    out = [_PR_FNS["lp_close"].remote(
-        edges[b], *[wedges[s][b] for s in range(n)]) for b in range(n)]
-    return ray.data.from_arrow_refs(out)
+    return ray.data.from_arrow_refs(exchange(
+        _lp_wedges_impl, [(n, e) for e in edges],
+        _lp_close_impl, [(e,) for e in edges], n))
 
 
 def sql_link_predict() -> str:
@@ -638,15 +558,9 @@ def q_clustering(sf_dir: str):
             "degree": pa.array([], pa.int64()),
             "n_tri": pa.array([], pa.int64()),
             "coef_q12": pa.array([], pa.int64())}))
-    wedges = [_PR_FNS["tri_wedges"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    closed = [_PR_FNS["tri_close"].options(num_returns=n).remote(
-        n, edges[b], *[wedges[s][b] for s in range(n)])
-        for b in range(n)]
-    out = [_PR_FNS["coef_finish"].remote(
-        nodes[b], edges[b], *[closed[s][b] for s in range(n)])
-        for b in range(n)]
-    return ray.data.from_arrow_refs(out)
+    return ray.data.from_arrow_refs(gather(
+        _coef_finish_impl, list(zip(nodes, edges)),
+        _triangle_corners(n, edges)))
 
 
 def sql_clustering() -> str:
@@ -736,37 +650,23 @@ def q_trustrank(sf_dir: str):
     import ray
     import ray.data
 
-    fns = _pr_remote_fns()
-    if "tr_seed" not in _PR_FNS:
-        _PR_FNS["tr_seed"] = ray.remote(_tr_seed_impl)
-        _PR_FNS["tr_gather"] = ray.remote(_tr_gather_impl)
-
-    n, nodes, stats, edges, base_state = _directed_shards(sf_dir)
+    n, nodes, edges, base_state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "is_seed": pa.array([], pa.int64()),
             "trust_q12": pa.array([], pa.int64())}))
 
-    if "seed_count" not in _PR_FNS:
-        _PR_FNS["seed_count"] = ray.remote(_seed_count_impl)
     # global seed count: one int per bucket
-    n_seeds = sum(ray.get([
-        _PR_FNS["seed_count"].remote(nodes[b]) for b in range(n)]))
+    n_seeds = sum(ray.get([remote(_seed_count_impl).remote(v)
+                           for v in nodes]))
     if n_seeds == 0:
         raise ValueError(
             f"TrustRank needs at least one seed "
             f"(doc_id % {TRUST_SEED_MOD} == 0)")
     inv_s = 1.0 / n_seeds
-    state = [_PR_FNS["tr_seed"].remote(base_state[b], n_seeds)
-             for b in range(n)]
-    for _ in range(PR_ITERS):
-        outs = [fns["scatter"].options(num_returns=n + 1).remote(
-            n, edges[b], state[b]) for b in range(n)]
-        dang_total = sum(ray.get([outs[b][n] for b in range(n)]))
-        state = [_PR_FNS["tr_gather"].remote(
-            state[b], inv_s, dang_total, *[outs[s][b] for s in range(n)])
-            for b in range(n)]
+    state = [remote(_tr_seed_impl).remote(s, n_seeds) for s in base_state]
+    state = _rank_rounds(n, edges, state, _tr_gather_impl, inv_s)
 
     def finish(t: pa.Table) -> pa.Table:
         r = t.column("rank").to_numpy()
@@ -859,33 +759,21 @@ ORACLES["trustrank"] = sql_trustrank()
 HITS_ITERS = 3
 
 
-def _hits_rev_impl(n, edges):
-    """Route one src-bucket edge shard to the DST's home bucket (the
-    reverse adjacency, built once at init)."""
-    src = edges.column("src").to_numpy().astype(np.int64)
-    dst = edges.column("dst").to_numpy().astype(np.int64)
-    bk = _pr_route(dst, n)
-    return tuple(pa.table({"src": src[bk == i], "dst": dst[bk == i]})
-                 for i in range(n))
-
-
 def _hits_ones_impl(nodes):
     node = nodes.column("node").to_numpy().astype(np.int64)
     return pa.table({"node": node, "v": np.ones(len(node), np.int64)})
 
 
-def _hits_scatter_impl(n, from_col, to_col, edges, vals):
-    """Per-edge contribution vals[from_col], map-side combined by
-    to_col, routed to the to-endpoint's home bucket."""
+def _hits_scatter_impl(n, edges, vals):
+    """Per-edge contribution vals[src], map-side combined by dst,
+    routed to the dst's home bucket."""
     e = edges.to_pandas()
     s = vals.to_pandas()
-    m = e.merge(s, left_on=from_col, right_on="node", how="inner")
-    contrib = (m.groupby(to_col, sort=False, as_index=False)["v"].sum()
-               .rename(columns={to_col: "to"}))
-    bk = _pr_route(contrib["to"].to_numpy(np.int64), n)
-    return tuple(
-        pa.Table.from_pandas(contrib[bk == i], preserve_index=False)
-        for i in range(n))
+    m = e.merge(s, left_on="src", right_on="node", how="inner")
+    contrib = (m.groupby("dst", sort=False, as_index=False)["v"].sum()
+               .rename(columns={"dst": "to"}))
+    return route(_cc_route(contrib["to"].to_numpy(np.int64), n), n,
+                 pa.Table.from_pandas(contrib, preserve_index=False))
 
 
 def _hits_gather_impl(nodes, *pieces):
@@ -912,38 +800,26 @@ def q_hits(sf_dir: str):
     import ray
     import ray.data
 
-    _pr_remote_fns()
-    for k, f in (("hits_rev", _hits_rev_impl),
-                 ("hits_ones", _hits_ones_impl),
-                 ("hits_scatter", _hits_scatter_impl),
-                 ("hits_gather", _hits_gather_impl),
-                 ("hits_finish", _hits_finish_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
-
-    n, nodes, stats, edges, _state = _directed_shards(sf_dir)
+    n, nodes, edges, _state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "hub_score": pa.array([], pa.int64()),
             "auth_score": pa.array([], pa.int64())}))
 
-    rev = [_PR_FNS["hits_rev"].options(num_returns=n).remote(n, edges[b])
-           for b in range(n)]
-    redges = [_PR_FNS["concat"].remote(*[rev[s][b] for s in range(n)])
-              for b in range(n)]
-    h = [_PR_FNS["hits_ones"].remote(nodes[b]) for b in range(n)]
+    redges = exchange(_pr_reverse_impl, [(n, e) for e in edges],
+                      _cc_concat_impl, [()] * n, n)
+    per_node = [(v,) for v in nodes]
+    h = [remote(_hits_ones_impl).remote(v) for v in nodes]
     a = None
     for _ in range(HITS_ITERS):
-        outs = [_PR_FNS["hits_scatter"].options(num_returns=n).remote(
-            n, "src", "dst", edges[b], h[b]) for b in range(n)]
-        a = [_PR_FNS["hits_gather"].remote(
-            nodes[b], *[outs[s][b] for s in range(n)]) for b in range(n)]
-        outs2 = [_PR_FNS["hits_scatter"].options(num_returns=n).remote(
-            n, "dst", "src", redges[b], a[b]) for b in range(n)]
-        h = [_PR_FNS["hits_gather"].remote(
-            nodes[b], *[outs2[s][b] for s in range(n)]) for b in range(n)]
-    fin = [_PR_FNS["hits_finish"].remote(h[b], a[b]) for b in range(n)]
+        a = exchange(_hits_scatter_impl,
+                     [(n, e, x) for e, x in zip(edges, h)],
+                     _hits_gather_impl, per_node, n)
+        h = exchange(_hits_scatter_impl,
+                     [(n, e, x) for e, x in zip(redges, a)],
+                     _hits_gather_impl, per_node, n)
+    fin = [remote(_hits_finish_impl).remote(x, y) for x, y in zip(h, a)]
     return ray.data.from_arrow_refs(fin)
 
 
@@ -1022,11 +898,8 @@ def _lpa_scatter_impl(n, edges, labels):
     df = (pd.DataFrame({"dst": dst, "lab": slab})
           .groupby(["dst", "lab"], sort=False).size()
           .reset_index(name="c"))
-    d = df["dst"].to_numpy(np.int64)
-    bk = _pr_route(d, n)
-    return tuple(
-        pa.Table.from_pandas(df[bk == i], preserve_index=False)
-        for i in range(n))
+    return route(_cc_route(df["dst"].to_numpy(np.int64), n), n,
+                 pa.Table.from_pandas(df, preserve_index=False))
 
 
 def _lpa_gather_impl(labels, *pieces):
@@ -1054,26 +927,16 @@ def q_label_prop(sf_dir: str):
     import ray.data
 
     n, nodes, edges = _graph_shards(sf_dir)
-    # register AFTER _graph_shards: _pr_remote_fns only installs the
-    # core fns when _PR_FNS is still empty
-    for k, f in (("lpa_init", _lpa_init_impl),
-                 ("lpa_scatter", _lpa_scatter_impl),
-                 ("lpa_gather", _lpa_gather_impl),
-                 ("lpa_out", _lpa_out_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "community": pa.array([], pa.int64())}))
-    labels = [_PR_FNS["lpa_init"].remote(nodes[b]) for b in range(n)]
+    labels = [remote(_lpa_init_impl).remote(v) for v in nodes]
     for _ in range(LPA_ITERS):
-        sc = [_PR_FNS["lpa_scatter"].options(num_returns=n).remote(
-            n, edges[b], labels[b]) for b in range(n)]
-        labels = [_PR_FNS["lpa_gather"].remote(
-            labels[b], *[sc[s][b] if n > 1 else sc[s] for s in range(n)])
-            for b in range(n)]
-    out = [_PR_FNS["lpa_out"].remote(labels[b]) for b in range(n)]
+        labels = exchange(_lpa_scatter_impl,
+                          [(n, e, lab) for e, lab in zip(edges, labels)],
+                          _lpa_gather_impl, [(lab,) for lab in labels], n)
+    out = [remote(_lpa_out_impl).remote(lab) for lab in labels]
     return ray.data.from_arrow_refs(out)
 
 
@@ -1153,9 +1016,7 @@ def _bfs_scatter_impl(n, rnd, edges, state):
     order = np.argsort(v)
     sdist = dist[order][np.searchsorted(v[order], src)]
     hit = np.unique(dst[sdist == rnd - 1])
-    bk = _pr_route(hit, n)
-    return tuple(pa.table({"dst": pa.array(hit[bk == i])})
-                 for i in range(n))
+    return route(_cc_route(hit, n), n, {"dst": hit})
 
 
 def _bfs_gather_impl(rnd, state, *pieces):
@@ -1177,25 +1038,16 @@ def q_bfs_dist(sf_dir: str):
     import ray.data
 
     n, nodes, edges = _graph_shards(sf_dir)
-    for k, f in (("bfs_init", _bfs_init_impl),
-                 ("bfs_scatter", _bfs_scatter_impl),
-                 ("bfs_gather", _bfs_gather_impl),
-                 ("bfs_out", _bfs_out_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "dist": pa.array([], pa.int64())}))
-    state = [_PR_FNS["bfs_init"].remote(nodes[b]) for b in range(n)]
+    state = [remote(_bfs_init_impl).remote(v) for v in nodes]
     for rnd in range(1, BFS_ROUNDS + 1):
-        sc = [_PR_FNS["bfs_scatter"].options(num_returns=n).remote(
-            n, rnd, edges[b], state[b]) for b in range(n)]
-        state = [_PR_FNS["bfs_gather"].remote(
-            rnd, state[b], *[sc[s][b] if n > 1 else sc[s]
-                             for s in range(n)])
-            for b in range(n)]
-    out = [_PR_FNS["bfs_out"].remote(state[b]) for b in range(n)]
+        state = exchange(_bfs_scatter_impl,
+                         [(n, rnd, e, st) for e, st in zip(edges, state)],
+                         _bfs_gather_impl, [(rnd, st) for st in state], n)
+    out = [remote(_bfs_out_impl).remote(st) for st in state]
     return ray.data.from_arrow_refs(out)
 
 
@@ -1257,22 +1109,16 @@ def q_graph_cc(sf_dir: str):
 
     from .queries_curate import cc_label_refs
 
-    n, nodes, edges = _graph_shards(sf_dir)
-    for k, f in (("cc_canon", _cc_canon_impl),
-                 ("cc_out", _cc_out_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
+    _n, _nodes, edges = _graph_shards(sf_dir)
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "component": pa.array([], pa.int64()),
             "is_canonical": pa.array([], pa.int64())}))
-    pair_refs = [_PR_FNS["cc_canon"].remote(edges[b]) for b in range(n)]
-    pairs_ds = ray.data.from_arrow_refs(pair_refs)
-    ids_ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    label_refs = cc_label_refs(pairs_ds, ids_ds)
-    out = [_PR_FNS["cc_out"].remote(r) for r in label_refs]
+    pairs_ds = ray.data.from_arrow_refs(
+        [remote(_cc_canon_impl).remote(e) for e in edges])
+    label_refs = cc_label_refs(pairs_ds, _doc_ids(sf_dir))
+    out = [remote(_cc_out_impl).remote(r) for r in label_refs]
     return ray.data.from_arrow_refs(out)
 
 
@@ -1364,9 +1210,12 @@ def _kc_cand_impl(n, mod, shard):
     dst = (src * _A + j * _B + _C) % mod
     keep = dst != src
     src, dst = src[keep], dst[keep]
-    bk = _pr_route(dst, n)
-    return tuple(pa.table({"src": src[bk == i], "dst": dst[bk == i]})
-                 for i in range(n))
+    return route(_cc_route(dst, n), n, {"src": src, "dst": dst})
+
+
+def _kc_init_impl(nodes):
+    """alive starts as the full node shard, in the peel schema."""
+    return pa.table({"v": nodes.column("node")})
 
 
 def _kc_peel_impl(n, k, edges, alive):
@@ -1390,10 +1239,8 @@ def _kc_peel_impl(n, k, edges, alive):
     tomb_w, tomb_v = dst[edge_dead], src[edge_dead]
     new_alive = pa.table({"v": v[~dead_mask]})
     new_edges = pa.table({"src": src[~edge_dead], "dst": dst[~edge_dead]})
-    bk = _pr_route(tomb_w, n)
-    return (new_alive, new_edges, int(dead_mask.sum())) + tuple(
-        pa.table({"w": tomb_w[bk == i], "v": tomb_v[bk == i]})
-        for i in range(n))
+    return (new_alive, new_edges, int(dead_mask.sum())) + route(
+        _cc_route(tomb_w, n), n, {"w": tomb_w, "v": tomb_v})
 
 
 def _kc_prune_impl(edges, *tombs):
@@ -1429,57 +1276,20 @@ def q_kcore(sf_dir: str):
     import ray
     import ray.data
 
-    fns = _register_graph_fns()
-    for key, f in (("kc_cand", _kc_cand_impl),
-                   ("kc_peel", _kc_peel_impl),
-                   ("kc_prune", _kc_prune_impl),
-                   ("kc_out", _kc_out_impl)):
-        if key not in _PR_FNS:
-            _PR_FNS[key] = ray.remote(f)
-    n = _pr_buckets()
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    refs = [r for bu in ds.iter_internal_ref_bundles()
-            for r in bu.block_refs]
-    empty = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([], pa.int64()),
-        "core_deg": pa.array([], pa.int64())}))
-    if not refs:
-        return empty
-    n_tasks = max(1, min(len(refs), n))
-    groups = [refs[i::n_tasks] for i in range(n_tasks)]
-    pieces = [fns["split"].options(num_returns=n).remote(n, *g)
-              for g in groups if g]
-    nodes = [fns["concat"].remote(*[p[b] for p in pieces])
-             for b in range(n)]
-    stats = ray.get([fns["stats"].remote(nodes[b]) for b in range(n)])
-    mod = max((m for _, m in stats), default=-1) + 1
-    if mod == 0:
-        return empty
-    cand = [_PR_FNS["kc_cand"].options(num_returns=n).remote(
-        n, mod, nodes[b]) for b in range(n)]
-    kept = [fns["filter"].options(num_returns=n).remote(
-        n, nodes[b], *[cand[s][b] for s in range(n)]) for b in range(n)]
-    fwd = [_PR_FNS["concat"].remote(*[kept[s][b] for s in range(n)])
-           for b in range(n)]
-    rev = [_PR_FNS["rev"].options(num_returns=n).remote(n, fwd[b])
-           for b in range(n)]
-    edges = [_PR_FNS["undirect"].remote(
-        fwd[b], *[rev[s][b] for s in range(n)]) for b in range(n)]
-    # alive starts as the full node shard (renamed to the peel schema)
-    if "kc_init" not in _PR_FNS:
-        _PR_FNS["kc_init"] = ray.remote(
-            lambda t: pa.table({"v": t.column("node")}))
-    alive = [_PR_FNS["kc_init"].remote(nodes[b]) for b in range(n)]
+    n, nodes, edges = _graph_shards(sf_dir, cand=_kc_cand_impl)
+    if edges is None:
+        return ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([], pa.int64()),
+            "core_deg": pa.array([], pa.int64())}))
+    alive = [remote(_kc_init_impl).remote(v) for v in nodes]
     for _ in range(KCORE_ROUNDS):
-        peel = [_PR_FNS["kc_peel"].options(num_returns=n + 3).remote(
-            n, KCORE_K, edges[b], alive[b]) for b in range(n)]
-        alive = [peel[b][0] for b in range(n)]
-        edges = [_PR_FNS["kc_prune"].remote(
-            peel[b][1], *[peel[s][3 + b] for s in range(n)])
-            for b in range(n)]
-    out = [_PR_FNS["kc_out"].remote(edges[b], alive[b])
-           for b in range(n)]
+        sides, tombs = scatter(
+            _kc_peel_impl,
+            [(n, KCORE_K, e, al) for e, al in zip(edges, alive)], n, side=3)
+        alive = [sd[0] for sd in sides]
+        edges = gather(_kc_prune_impl, [(sd[1],) for sd in sides], tombs)
+    out = [remote(_kc_out_impl).remote(e, al)
+           for e, al in zip(edges, alive)]
     return ray.data.from_arrow_refs(out)
 
 
@@ -1554,7 +1364,7 @@ def q_anchor_agg(sf_dir: str):
 
     from ..stages.shuffle import bucketed_apply
 
-    n, _nodes, _stats, fwd, _state = _directed_shards(sf_dir)
+    _n, _nodes, fwd, _state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if fwd is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -1653,6 +1463,13 @@ def _rw_seed_impl(nodes):
     return pa.table({"start": pa.array(s), "cur": pa.array(s)})
 
 
+def _rw_seed_out_impl(walks):
+    return pa.table({
+        "start": walks.column("start"),
+        "step": pa.array(np.zeros(walks.num_rows, np.int64)),
+        "node": walks.column("cur")})
+
+
 def _rw_step_impl(n, t, edges, walks):
     """One walk step for one bucket: candidates = local edges from each
     walk's cur node; pick the min-hash neighbour per walk; route the
@@ -1681,10 +1498,7 @@ def _rw_step_impl(n, t, edges, walks):
         "node": pa.array(pick["nxt"].to_numpy(np.int64))})
     nxt = pick["nxt"].to_numpy(np.int64)
     st = pick["start"].to_numpy(np.int64)
-    bk = _pr_route(nxt, n)
-    return (out,) + tuple(
-        pa.table({"start": pa.array(st[bk == i]),
-                  "cur": pa.array(nxt[bk == i])}) for i in range(n))
+    return (out,) + route(_cc_route(nxt, n), n, {"start": st, "cur": nxt})
 
 
 def q_random_walks(sf_dir: str):
@@ -1693,28 +1507,18 @@ def q_random_walks(sf_dir: str):
     import ray.data
 
     n, nodes, edges = _graph_shards(sf_dir)
-    for key, f in (("rw_seed", _rw_seed_impl),
-                   ("rw_step", _rw_step_impl),
-                   ("rw_seed_out", lambda w: pa.table({
-                       "start": w.column("start"),
-                       "step": pa.array(
-                           np.zeros(w.num_rows, np.int64)),
-                       "node": w.column("cur")}))):
-        if key not in _PR_FNS:
-            _PR_FNS[key] = ray.remote(f)
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "start": pa.array([], pa.int64()),
             "step": pa.array([], pa.int64()),
             "node": pa.array([], pa.int64())}))
-    walks = [_PR_FNS["rw_seed"].remote(nodes[b]) for b in range(n)]
-    outs = [_PR_FNS["rw_seed_out"].remote(walks[b]) for b in range(n)]
+    walks = [remote(_rw_seed_impl).remote(v) for v in nodes]
+    outs = [remote(_rw_seed_out_impl).remote(w) for w in walks]
     for t in range(1, WALK_STEPS + 1):
-        stepped = [_PR_FNS["rw_step"].options(num_returns=n + 1).remote(
-            n, t, edges[b], walks[b]) for b in range(n)]
-        outs.extend(stepped[b][0] for b in range(n))
-        walks = [_PR_FNS["concat"].remote(
-            *[stepped[s][1 + b] for s in range(n)]) for b in range(n)]
+        rows, walks = exchange(
+            _rw_step_impl, [(n, t, e, w) for e, w in zip(edges, walks)],
+            _cc_concat_impl, [()] * n, n, side=1)
+        outs.extend(r for r, in rows)
     return ray.data.from_arrow_refs(outs)
 
 
@@ -1823,11 +1627,8 @@ def _sssp_scatter_impl(n, edges, state):
     nd = sdist[fire] + _sssp_weight(src[fire], d)
     comb = (pd.DataFrame({"dst": d, "nd": nd})
             .groupby("dst", sort=False, as_index=False)["nd"].min())
-    bk = _pr_route(comb["dst"].to_numpy(), n)
-    return tuple(
-        pa.Table.from_pandas(comb[bk == i], preserve_index=False)
-        for i in range(n)
-    )
+    return route(_cc_route(comb["dst"].to_numpy(), n), n,
+                 pa.Table.from_pandas(comb, preserve_index=False))
 
 
 def _sssp_gather_impl(state, *pieces):
@@ -1867,24 +1668,16 @@ def q_sssp(sf_dir: str):
     import ray.data
 
     n, nodes, edges = _graph_shards(sf_dir)
-    for k, f in (("sssp_init", _sssp_init_impl),
-                 ("sssp_scatter", _sssp_scatter_impl),
-                 ("sssp_gather", _sssp_gather_impl),
-                 ("sssp_out", _sssp_out_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "dist": pa.array([], pa.int64())}))
-    state = [_PR_FNS["sssp_init"].remote(nodes[b]) for b in range(n)]
+    state = [remote(_sssp_init_impl).remote(v) for v in nodes]
     for _ in range(SSSP_ROUNDS):
-        sc = [_PR_FNS["sssp_scatter"].options(num_returns=n).remote(
-            n, edges[b], state[b]) for b in range(n)]
-        state = [_PR_FNS["sssp_gather"].remote(
-            state[b], *[sc[s][b] if n > 1 else sc[s] for s in range(n)])
-            for b in range(n)]
-    out = [_PR_FNS["sssp_out"].remote(state[b]) for b in range(n)]
+        state = exchange(_sssp_scatter_impl,
+                         [(n, e, st) for e, st in zip(edges, state)],
+                         _sssp_gather_impl, [(st,) for st in state], n)
+    out = [remote(_sssp_out_impl).remote(st) for st in state]
     return ray.data.from_arrow_refs(out)
 
 
@@ -1956,9 +1749,7 @@ def _assort_attach_impl(n, edges):
     x = e.groupby("src", sort=False)["dst"].transform("size") \
         .to_numpy(np.int64)
     dst = e["dst"].to_numpy(np.int64)
-    bk = _pr_route(dst, n)
-    return tuple(pa.table({"dst": dst[bk == i], "x": x[bk == i]})
-                 for i in range(n))
+    return route(_cc_route(dst, n), n, {"dst": dst, "x": x})
 
 
 def _assort_moments_impl(*pieces):
@@ -1989,20 +1780,13 @@ def q_assortativity(sf_dir: str):
     import ray
     import ray.data
 
-    n, _nodes, _stats, edges, _state = _directed_shards(sf_dir)
-    for k, f in (("assort_attach", _assort_attach_impl),
-                 ("assort_moments", _assort_moments_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
+    n, _nodes, edges, _state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "n_edges": pa.array([0], pa.int64()),
             "assort": pa.array([None], pa.float64())}))
-    routed = [_PR_FNS["assort_attach"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    parts = ray.get([_PR_FNS["assort_moments"].remote(
-        *[routed[s][b] if n > 1 else routed[s] for s in range(n)])
-        for b in range(n)])
+    parts = ray.get(exchange(_assort_attach_impl, [(n, e) for e in edges],
+                             _assort_moments_impl, [()] * n, n))
     tot = {c: sum(int(p.column(c)[0].as_py()) for p in parts)
            for c in ("n", "sx", "sy", "sxy", "sxx", "syy")}
     ne = tot["n"]
@@ -2069,9 +1853,7 @@ def _recip_route_impl(n, edges):
     a = np.minimum(s, d)
     b = np.maximum(s, d)
     fwd = (s < d)  # orientation flag rides along via column order
-    bk = _pr_route(a, n)
-    return tuple(pa.table({"a": a[bk == i], "b": b[bk == i],
-                           "fwd": fwd[bk == i]}) for i in range(n))
+    return route(_cc_route(a, n), n, {"a": a, "b": b, "fwd": fwd})
 
 
 def _recip_count_impl(*pieces):
@@ -2093,21 +1875,14 @@ def q_reciprocity(sf_dir: str):
     import ray
     import ray.data
 
-    n, _nodes, _stats, edges, _state = _directed_shards(sf_dir)
-    for k, f in (("recip_route", _recip_route_impl),
-                 ("recip_count", _recip_count_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
+    n, _nodes, edges, _state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "n_edges": pa.array([0], pa.int64()),
             "n_recip": pa.array([0], pa.int64()),
             "recip_q12": pa.array([None], pa.int64())}))
-    routed = [_PR_FNS["recip_route"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    parts = ray.get([_PR_FNS["recip_count"].remote(
-        *[routed[s][b] if n > 1 else routed[s] for s in range(n)])
-        for b in range(n)])
+    parts = ray.get(exchange(_recip_route_impl, [(n, e) for e in edges],
+                             _recip_count_impl, [()] * n, n))
     ne = sum(int(p.column("n_edges")[0].as_py()) for p in parts)
     nr = sum(int(p.column("n_recip")[0].as_py()) for p in parts)
     q = ((2 * nr * PR_QUANT_INT + ne) // (2 * ne)) if ne else None
@@ -2159,36 +1934,20 @@ ORACLES["reciprocity"] = sql_reciprocity()
 # is O(E * avg_deg) — identical to the triangle counter's bound, with
 # the same orient-toward-higher-degree mitigation at hub scale.
 
-def _twohop_in_route_impl(n, edges):
-    """Route this src bucket's edges to the DST's home bucket (the
-    wedge midpoint owns the join)."""
-    e = edges.to_pandas()
-    if not len(e):
-        return tuple(pa.table({"src": pa.array([], pa.int64()),
-                               "dst": pa.array([], pa.int64())})
-                     for _ in range(n))
-    d = e["dst"].to_numpy(np.int64)
-    bk = _pr_route(d, n)
-    return tuple(
-        pa.Table.from_pandas(e[bk == i], preserve_index=False)
-        for i in range(n))
-
-
 def _twohop_join_impl(n, edges, *incoming):
-    """Join arriving edges (a -> u) with local out-edges (u -> w);
-    emit map-side-deduped (a, w) pairs routed to bucket(a).  One-hop
-    neighbors join in too (a -> u counts as reach), w == a dropped."""
+    """Join arriving edges (a -> u, reversed: src = u, dst = a) with
+    local out-edges (u -> w); emit map-side-deduped (a, w) pairs routed
+    to bucket(a).  One-hop neighbors join in too (a -> u counts as
+    reach), w == a dropped."""
     inc = pa.concat_tables(incoming, promote_options="default") \
-        .to_pandas().rename(columns={"src": "a", "dst": "u"})
+        .to_pandas().rename(columns={"src": "u", "dst": "a"})
     out = edges.to_pandas().rename(columns={"src": "u", "dst": "w"})
     two = inc.merge(out, on="u")[["a", "w"]]
     one = inc.rename(columns={"u": "w"})[["a", "w"]]
     pairs = pd.concat([two, one])
     pairs = pairs[pairs["a"] != pairs["w"]].drop_duplicates()
-    bk = _pr_route(pairs["a"].to_numpy(np.int64), n)
-    return tuple(
-        pa.Table.from_pandas(pairs[bk == i], preserve_index=False)
-        for i in range(n))
+    return route(_cc_route(pairs["a"].to_numpy(np.int64), n), n,
+                 pa.Table.from_pandas(pairs, preserve_index=False))
 
 
 def _twohop_count_impl(nodes, *pieces):
@@ -2205,25 +1964,17 @@ def q_two_hop(sf_dir: str):
     import ray
     import ray.data
 
-    n, nodes, _stats, edges, _state = _directed_shards(sf_dir)
-    for k, f in (("twohop_in", _twohop_in_route_impl),
-                 ("twohop_join", _twohop_join_impl),
-                 ("twohop_count", _twohop_count_impl)):
-        if k not in _PR_FNS:
-            _PR_FNS[k] = ray.remote(f)
+    n, nodes, edges, _state, _inv_n = _directed_shards(_doc_ids(sf_dir))
     if edges is None:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "n_2hop": pa.array([], pa.int64())}))
-    inc = [_PR_FNS["twohop_in"].options(num_returns=n).remote(
-        n, edges[b]) for b in range(n)]
-    pairs = [_PR_FNS["twohop_join"].options(num_returns=n).remote(
-        n, edges[b], *[inc[s][b] if n > 1 else inc[s]
-                       for s in range(n)]) for b in range(n)]
-    out = [_PR_FNS["twohop_count"].remote(
-        nodes[b], *[pairs[s][b] if n > 1 else pairs[s]
-                    for s in range(n)]) for b in range(n)]
-    return ray.data.from_arrow_refs(out)
+    # the wedge midpoint u owns the join: route every edge to bucket(dst)
+    _, inc = scatter(_pr_reverse_impl, [(n, e) for e in edges], n)
+    _, pairs = scatter(_twohop_join_impl, [(n, e) for e in edges], n,
+                       grid=inc)
+    return ray.data.from_arrow_refs(gather(
+        _twohop_count_impl, [(v,) for v in nodes], pairs))
 
 
 def sql_two_hop() -> str:

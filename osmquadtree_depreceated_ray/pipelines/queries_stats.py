@@ -41,24 +41,11 @@ import numpy as np
 import pandas as pd  # noqa: F401  (kept for parity with sibling modules)
 import pyarrow as pa
 
+from ..stages.exchange import remote
+
 # --------------------------------------------------------------- quantiles
 
 QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
-
-_ST_FNS: dict = {}
-
-
-def _stats_remote_fns():
-    """Exported once per session (same rationale as shuffle.py)."""
-    if not _ST_FNS:
-        import ray
-
-        _ST_FNS["meta"] = ray.remote(_block_meta_impl)
-        _ST_FNS["pick"] = ray.remote(_block_pick_impl)
-        _ST_FNS["bloom_or"] = ray.remote(_bloom_or_impl)
-        _ST_FNS["bloom_keys"] = ray.remote(_bloom_keys_impl)
-    return _ST_FNS
-
 
 def _block_meta_impl(block: pa.Table):
     """(min value, total multiset count) of one sorted-histogram block."""
@@ -107,8 +94,7 @@ def q_quantiles(sf_dir: str):
     ).sort("value")
     refs = [r for bu in hist.iter_internal_ref_bundles()
             for r in bu.block_refs]
-    fns = _stats_remote_fns()
-    meta = ray.get([fns["meta"].remote(r) for r in refs])
+    meta = ray.get([remote(_block_meta_impl).remote(r) for r in refs])
     # sorted blocks hold disjoint value ranges and the histogram's
     # values are distinct, so ordering blocks by min IS the global
     # order; empty blocks drop out
@@ -129,7 +115,7 @@ def q_quantiles(sf_dir: str):
         hit = [(q, rk) for q, rk in targets
                if offset < rk <= offset + totals[pos]]
         if hit:
-            picks.append(fns["pick"].remote(refs[i], offset, hit))
+            picks.append(remote(_block_pick_impl).remote(refs[i], offset, hit))
         offset += totals[pos]
     out = pa.concat_tables(ray.get(picks)).to_pandas()
     return pa.Table.from_pandas(
@@ -226,7 +212,6 @@ def q_bloom_semijoin(sf_dir: str):
 
     import pyarrow.dataset as pds
 
-    fns = _stats_remote_fns()
     build = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey"],
@@ -257,7 +242,7 @@ def q_bloom_semijoin(sf_dir: str):
     refs = block_refs
     while True:
         # first pass also converts leaf blocks into plain uint8 bitmaps
-        refs = [fns["bloom_or"].remote(*refs[i:i + 8])
+        refs = [remote(_bloom_or_impl).remote(*refs[i:i + 8])
                 for i in range(0, len(refs), 8)]
         if len(refs) == 1:
             break
@@ -265,7 +250,7 @@ def q_bloom_semijoin(sf_dir: str):
     # exact key set for the survivor recheck (build side is the small
     # side by construction; at scale this becomes a bucketed join over
     # the bloom-pruned remainder) — concatenated remotely, ref-broadcast
-    keys_ref = fns["bloom_keys"].remote(*block_refs)
+    keys_ref = remote(_bloom_keys_impl).remote(*block_refs)
 
     def probe(b: pa.Table) -> pa.Table:
         bits, keys = ray.get(bits_ref), ray.get(keys_ref)
@@ -438,10 +423,6 @@ def q_kll_quantiles(sf_dir: str):
 
     from ..functions.sketch import KLL
 
-    fns = _stats_remote_fns()
-    if "kll_merge" not in _ST_FNS:
-        _ST_FNS["kll_merge"] = ray.remote(_kll_merge_impl)
-        fns = _ST_FNS
 
     def partial(t: pa.Table) -> pa.Table:
         sk = KLL(KLL_K)
@@ -466,9 +447,9 @@ def q_kll_quantiles(sf_dir: str):
             "n": pa.array([], pa.int64()),
             "err_bound": pa.array([], pa.int64())}))
     while len(refs) > 1:
-        refs = [fns["kll_merge"].remote(*refs[i:i + 8])
+        refs = [remote(_kll_merge_impl).remote(*refs[i:i + 8])
                 for i in range(0, len(refs), 8)]
-    sk = ray.get(fns["kll_merge"].remote(refs[0]))
+    sk = ray.get(remote(_kll_merge_impl).remote(refs[0]))
     fr = np.asarray(KLL_FRACS)
     est, bound = sk.quantiles(fr)
 

@@ -28,6 +28,7 @@ import pyarrow as pa
 from ..functions.qttree import QtAllocator, find_qt_groups
 from ..functions.quadtree import qt_round
 from ..stages.assign import QT_MAX_LEVEL, TileAssigner, assign_cells, qt_prefix_counts
+from ..stages.exchange import block_groups, exchange, remote
 from ..stages.extract import extract_entities, extract_text
 from ..state import manifest as mf
 
@@ -197,11 +198,8 @@ def _round_counts_impl(n_red, level, prev_level, hot, *blocks):
     vals, counts = np.unique(qt_round(qt, level), return_counts=True)
     dest = ((vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
             >> np.uint64(33)) % np.uint64(n_red)
-    outs = []
-    for i in range(n_red):
-        m = dest == i
-        outs.append((vals[m], counts[m].astype(np.int64)))
-    return tuple(outs) if n_red > 1 else outs[0]
+    masks = (dest == i for i in range(n_red))
+    return tuple((vals[m], counts[m].astype(np.int64)) for m in masks)
 
 
 def _merge_cells_impl(*pieces):
@@ -218,23 +216,6 @@ def _merge_cells_impl(*pieces):
     q, n = q[order], n[order]
     starts = np.concatenate([[0], np.flatnonzero(q[1:] != q[:-1]) + 1])
     return q[starts], np.add.reduceat(n, starts)
-
-
-def _get_remote_fns():
-    """Module-level remote functions, exported to the cluster once per
-    session (defining them inside the driver function re-pickles and
-    re-exports them on every call — measured ~1.5 s of fixed cost)."""
-    global _round_counts, _merge_cells
-    if _round_counts is None:
-        import ray
-
-        _round_counts = ray.remote(_round_counts_impl)
-        _merge_cells = ray.remote(_merge_cells_impl)
-    return _round_counts, _merge_cells
-
-
-_round_counts = None
-_merge_cells = None
 
 
 def count_tiles_onepass(
@@ -263,24 +244,16 @@ def count_tiles_onepass(
     import ray
 
     threshold = target + 50
-    block_refs = [
-        ref
-        for bundle in entities_ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
     ncpu = int(ray.cluster_resources().get("CPU", 8))
+    groups = block_groups(entities_ds, ncpu)
     if n_reducers is None:
         # cluster-derived: ~1/4 CPU per reducer (partials are tiny;
         # more reducers than that just multiplies object count)
         from ..stages.shuffle import default_buckets
 
         n_reducers = int(min(max(8, default_buckets() // 4),
-                             max(1, len(block_refs))))
+                             max(1, sum(map(len, groups)))))
     n_red = n_reducers
-
-    _round_counts, _merge_cells = _get_remote_fns()
-    n_tasks = max(1, min(len(block_refs), ncpu))
-    groups = [block_refs[i::n_tasks] for i in range(n_tasks)]
 
     out_q: list[np.ndarray] = []
     out_n: list[np.ndarray] = []
@@ -290,17 +263,10 @@ def count_tiles_onepass(
         if hot is not None and len(hot) == 0:
             break
         hot_ref = ray.put(np.sort(hot)) if hot is not None else None
-        pieces = [
-            _round_counts.options(num_returns=n_red).remote(
-                n_red, level, prev_level, hot_ref, *g)
-            for g in groups if g
-        ]
-        if n_red == 1:
-            pieces = [[p] for p in pieces]
-        merged = ray.get([
-            _merge_cells.remote(*[pieces[b][r] for b in range(len(pieces))])
-            for r in range(n_red)
-        ])
+        merged = ray.get(exchange(
+            _round_counts_impl,
+            [(n_red, level, prev_level, hot_ref, *g) for g in groups],
+            _merge_cells_impl, [()] * n_red, n_red))
         qs = [m[0] for m in merged if len(m[0])]
         ns = [m[1] for m in merged if len(m[0])]
         if not qs:
@@ -567,9 +533,6 @@ def _read_tile_impl(paths, columns):
         tabs, promote_options="default")
 
 
-_read_tile_remote = None
-
-
 def iter_tiled_ordered(out_dir: str, columns=None, window_tiles: int = 32):
     """O3 block-order restore, STREAMED: yield ``(tile, pyarrow.Table)``
     in ascending qt order with O(window) memory — the Ray analogue of
@@ -584,17 +547,13 @@ def iter_tiled_ordered(out_dir: str, columns=None, window_tiles: int = 32):
     refs.  The corpus is never materialized."""
     import ray
 
-    global _read_tile_remote
-    if _read_tile_remote is None:
-        _read_tile_remote = ray.remote(_read_tile_impl)
-
     per_tile = _ordered_tiles_and_paths(out_dir)
     inflight: list = []
     nxt = 0
     while nxt < len(per_tile) or inflight:
         while nxt < len(per_tile) and len(inflight) < window_tiles:
             t, fs = per_tile[nxt]
-            inflight.append((t, _read_tile_remote.remote(fs, columns)))
+            inflight.append((t, remote(_read_tile_impl).remote(fs, columns)))
             nxt += 1
         t, ref = inflight.pop(0)
         yield t, ray.get(ref)

@@ -3,13 +3,13 @@
 Ray Data's sort-based ``groupby(...)`` carries a large constant overhead
 (sample + range-partition + merge passes) that this engine's workloads
 never need: hash-bucket boundaries are known a priori, so the shuffle
-reduces to ONE raw exchange — exactly the pattern ``write_tiles.py``
-uses for the tile writer, and what the reference's AllocBlockStore
-shuffle is (/root/reference/blocksort/blocksort.go:63-98 — the shuffle
+reduces to ONE raw exchange — the grid of ``stages/exchange.py``, which
+the tile writer runs too and which is what the reference's
+AllocBlockStore shuffle is (blocksort/blocksort.go:63-98 — the shuffle
 IS the allocator-keyed exchange, not a sort):
 
     1. split tasks: each takes a group of input blocks, hashes the key
-       columns, and returns ``num_returns=n_buckets`` pieces
+       columns, and returns ``n_buckets`` pieces
     2. one reduce task per bucket concats its pieces and runs the
        caller's VECTORIZED pandas fn once over the whole bucket
     3. the reduce results are re-wrapped as a Dataset
@@ -36,6 +36,8 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from .exchange import block_groups, exchange, route
 
 
 def default_buckets(floor: int = 8, cap: int = 4096) -> int:
@@ -90,8 +92,7 @@ def _split_impl(keys, n_buckets, combine, *blocks):
         # materialize on an empty stream) — emit explicitly schema-less
         # empties; the reduce treats an all-schema-less bucket as
         # zero rows without calling fn
-        empty = pa.table({})
-        return tuple(empty for _ in range(n_buckets)) if n_buckets > 1 else empty
+        return (pa.table({}),) * n_buckets
     block = live[0] if len(live) == 1 else pa.concat_tables(
         live, promote_options="default")
     if combine is not None:
@@ -102,14 +103,7 @@ def _split_impl(keys, n_buckets, combine, *blocks):
             combine(block.to_pandas()),
             preserve_index=False).replace_schema_metadata(None)
     df = block.select(list(keys)).to_pandas()
-    bk = _stable_bucket(df, list(keys), n_buckets)
-    outs = []
-    for i in range(n_buckets):
-        m = bk == i
-        # zero-row slices keep the schema so empty buckets still see
-        # correctly-typed frames
-        outs.append(block.filter(pa.array(m)) if m.any() else block.slice(0, 0))
-    return tuple(outs) if n_buckets > 1 else outs[0]
+    return route(_stable_bucket(df, list(keys), n_buckets), n_buckets, block)
 
 
 def _reduce_impl(fn, *pieces):
@@ -134,22 +128,6 @@ def _reduce_impl(fn, *pieces):
     return out, out.num_rows
 
 
-_split = None
-_reduce = None
-
-
-def _get_remote_fns():
-    """Export the exchange's remote functions once per session (defining
-    them per call re-pickles + re-registers them — measured fixed cost)."""
-    global _split, _reduce
-    if _split is None:
-        import ray
-
-        _split = ray.remote(_split_impl)
-        _reduce = ray.remote(_reduce_impl)
-    return _split, _reduce
-
-
 def bucketed_apply(
     ds,
     keys: list[str],
@@ -170,32 +148,16 @@ def bucketed_apply(
     import ray
     import ray.data
 
-    split, reduce_ = _get_remote_fns()
-    block_refs = [
-        ref
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
-    if not block_refs:
+    # bound the exchange's object count at ~n_tasks x n_buckets: group
+    # input blocks so there are about n_buckets split tasks
+    groups = block_groups(ds, n_buckets)
+    if not groups:
         # empty input: run fn driver-side on an empty typed frame
         return ds.map_batches(
             lambda df: fn(df), batch_format="pandas", batch_size=None)
-    # bound the exchange's object count at ~n_tasks x n_buckets: group
-    # input blocks so there are about n_buckets split tasks
-    n_tasks = max(1, min(len(block_refs), n_buckets))
-    groups = [block_refs[i::n_tasks] for i in range(n_tasks)]
-    pieces = [
-        split.options(num_returns=n_buckets).remote(
-            tuple(keys), n_buckets, combine, *g)
-        for g in groups if g
-    ]
-    if n_buckets == 1:
-        pieces = [[p] for p in pieces]
-    outs = [
-        reduce_.options(num_returns=2).remote(
-            fn, *[pieces[t][b] for t in range(len(pieces))])
-        for b in range(n_buckets)
-    ]
+    outs = exchange(_split_impl, [(tuple(keys), n_buckets, combine, *g)
+                                  for g in groups],
+                    _reduce_impl, [(fn,)] * n_buckets, n_buckets, returns=2)
     counts = ray.get([c for _, c in outs])
     keep = [t for (t, _), c in zip(outs, counts) if c > 0]
     if not keep:

@@ -6,9 +6,10 @@ are already known after the split rule, so the shuffle reduces to ONE
 explicit all-to-all: every input block is split by writer-range (ranges
 of the sorted tile list, balanced by the known per-tile counts), and one
 writer task per range concatenates its pieces and writes ONE parquet
-file per tile.  This is the documented drop-to-raw-Ray case (task
-brief): the Dataset API cannot express a boundary-aware exchange
-without a redundant sort.
+file per tile.  The grid is ``stages/exchange.py``'s; this module
+supplies the boundary-aware split and the writer reduce.  Raw Ray
+tasks, because the Dataset API cannot express a boundary-aware
+exchange without a redundant sort.
 
 Output layout is identical to the Hive writer: ``<dir>/tile=<t>/part-0.parquet``.
 All sink paths may carry an fsspec scheme (``file://``, ``s3://``,
@@ -24,6 +25,12 @@ import numpy as np
 import pyarrow as pa
 
 from ..state import fsio
+from .exchange import block_groups, exchange
+
+# split tasks per writer: a few per writer shrinks the straggler tail
+# (one oversized split group otherwise gates every writer it feeds) at
+# the cost of proportionally more (tiny) plasma objects
+SPLIT_TASKS_PER_WRITER = 3
 
 
 def _writer_ranges(tile_order: np.ndarray, tile_counts: np.ndarray,
@@ -68,9 +75,8 @@ def _split_impl(tiles_sorted, wid, n_writers_eff, alloc, *blocks):
     pos = np.clip(pos, 0, max(len(tiles_sorted) - 1, 0))
     w = wid[pos]
     bounds = np.searchsorted(w, np.arange(n_writers_eff + 1))
-    outs = [block.slice(bounds[i], bounds[i + 1] - bounds[i])
-            for i in range(n_writers_eff)]
-    return tuple(outs) if n_writers_eff > 1 else outs[0]
+    return tuple(block.slice(bounds[i], bounds[i + 1] - bounds[i])
+                 for i in range(n_writers_eff))
 
 
 def _write_range_impl(writer_id, out_dir, lineage_dir, skip, *pieces):
@@ -138,27 +144,11 @@ def _write_range_impl(writer_id, out_dir, lineage_dir, skip, *pieces):
     return rows
 
 
-_split = None
-_write_range = None
-
-
-def _get_remote_fns():
-    """Export the exchange's remote functions once per session (defining
-    them per call re-pickles + re-registers them — measured fixed cost)."""
-    global _split, _write_range
-    if _split is None:
-        import ray
-
-        _split = ray.remote(_split_impl)
-        _write_range = ray.remote(_write_range_impl)
-    return _split, _write_range
-
-
 def write_tiled(assigned_ds, out_dir: str, tile_order: np.ndarray,
                 tile_counts: np.ndarray, n_writers: int = 16,
                 skip_tiles: np.ndarray | None = None,
                 lineage_dir: str | None = None,
-                alloc_ref=None, split_tasks_per_writer: int = 3) -> int:
+                alloc_ref=None) -> int:
     """Shuffle-by-known-boundaries write.  Returns rows written.
 
     When ``lineage_dir`` is given, each writer also emits its
@@ -172,7 +162,6 @@ def write_tiled(assigned_ds, out_dir: str, tile_order: np.ndarray,
     pool on the flagship hot path."""
     import ray
 
-    split, write_range = _get_remote_fns()
     order = np.argsort(tile_order, kind="stable")
     tiles_sorted = tile_order[order]
     counts_sorted = tile_counts[order]
@@ -180,29 +169,14 @@ def write_tiled(assigned_ds, out_dir: str, tile_order: np.ndarray,
     n_writers_eff = int(wid.max()) + 1 if len(wid) else 1
     skip = np.sort(skip_tiles) if skip_tiles is not None and len(skip_tiles) else None
 
-    block_refs = [
-        ref
-        for bundle in assigned_ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
     # bound the exchange's object count at ~n_tasks x n_writers while
-    # keeping the split stage finer than the writer stage: a few split
-    # tasks per writer shrinks the straggler tail (one oversized split
-    # group otherwise gates every writer it feeds) at the cost of
-    # proportionally more (tiny) plasma objects
-    n_tasks = max(1, min(len(block_refs),
-                         split_tasks_per_writer * n_writers_eff))
-    groups = [block_refs[i::n_tasks] for i in range(n_tasks)]
-    pieces = [
-        split.options(num_returns=n_writers_eff).remote(
-            tiles_sorted, wid, n_writers_eff, alloc_ref, *g)
-        for g in groups if g
-    ]
-    if n_writers_eff == 1:
-        pieces = [[p] for p in pieces]
-    writes = [
-        write_range.remote(w, out_dir, lineage_dir, skip,
-                           *[pieces[b][w] for b in range(len(pieces))])
-        for w in range(n_writers_eff)
-    ]
+    # keeping the split stage finer than the writer stage
+    groups = block_groups(assigned_ds,
+                          SPLIT_TASKS_PER_WRITER * n_writers_eff)
+    writes = exchange(
+        _split_impl, [(tiles_sorted, wid, n_writers_eff, alloc_ref, *g)
+                      for g in groups],
+        _write_range_impl, [(w, out_dir, lineage_dir, skip)
+                            for w in range(n_writers_eff)],
+        n_writers_eff)
     return int(sum(ray.get(writes)))

@@ -92,7 +92,7 @@ def test_stale_parts_invisible_and_retired(memfs):
 
     # fresh single-writer run retires the stale layout
     wid1 = _writer_ranges(tiles, counts, 1)
-    p1 = _split_impl(tiles, wid1, 1, None, t)
+    (p1,) = _split_impl(tiles, wid1, 1, None, t)
     _write_range_impl(0, out, None, None, p1)
     for tl, c in zip(tiles, counts):
         d = f"/sink2/data/tile={tl}"
@@ -110,7 +110,7 @@ def test_lineage_buckets_on_memory_fs(memfs):
                   "entity_id": np.array([1, 17, 2], dtype=np.int64)})
     tiles = np.array([10, 20], dtype=np.int64)
     wid = _writer_ranges(tiles, np.array([2, 1], dtype=np.int64), 1)
-    piece = _split_impl(tiles, wid, 1, None, t)
+    (piece,) = _split_impl(tiles, wid, 1, None, t)
     root = "memory://sink3"
     _write_range_impl(0, manifest.data_dir(root), manifest.lineage_dir(root),
                       None, piece)
@@ -210,7 +210,7 @@ def test_update_compact_lifecycle_memory(memfs, ray_session):
     })
     tiles = np.array([0], dtype=np.int64)
     wid = _writer_ranges(tiles, np.array([6], np.int64), 1)
-    piece = _split_impl(tiles, wid, 1, None, base)
+    (piece,) = _split_impl(tiles, wid, 1, None, base)
     _write_range_impl(0, data, manifest.lineage_dir(root), None, piece)
     manifest.write_manifest(root, tiles, np.array([6], np.int64),
                             state={"seq": 0})

@@ -72,3 +72,23 @@ def test_distinct_and_grouped_agg(ray_session):
     ).to_pandas().sort_values("a").reset_index(drop=True)
     assert g["n"].tolist() == [2, 3, 1]
     assert g["s"].tolist() == [2, 5, 3]
+
+
+def test_bucketed_apply_one_bucket(ray_session):
+    """n_buckets=1: every split task returns its single piece and the
+    one reduce sees every row (no caller-side one-bucket branch)."""
+    import ray
+
+    from osmquadtree_depreceated_ray.stages.shuffle import bucketed_apply
+
+    t = _skewed_table(3000)
+    ds = ray.data.from_arrow([t.slice(0, 1000), t.slice(1000)])
+
+    def count(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("k", as_index=False).size()
+
+    got = bucketed_apply(ds, ["k"], count, n_buckets=1).to_pandas()
+    want = t.to_pandas().groupby("k", as_index=False).size()
+    pd.testing.assert_frame_equal(
+        got.sort_values("k").reset_index(drop=True), want,
+        check_dtype=False)
