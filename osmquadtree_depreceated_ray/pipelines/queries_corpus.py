@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.lookup import sorted_lookup
 from .queries_curate import _explode_words
 from .queries_text import _doc_bigram_stream, _md5_lower64
 
@@ -290,15 +291,9 @@ def q_collocations(sf_dir: str):
     def member(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        needs = ray.get(need_ref)
         w = b.column("word").to_numpy(zero_copy_only=False)
         tot = b.column("is_total").to_numpy() == 1
-        if len(needs) and len(w):
-            j = np.searchsorted(needs, w)
-            j[j >= len(needs)] = len(needs) - 1
-            keep = (needs[j] == w) & ~tot
-        else:
-            keep = np.zeros(len(w), bool)
+        keep, _ = sorted_lookup(ray.get(need_ref), w)
         return b.filter(pa.array(keep | tot))
 
     uc = uni.map_batches(member, batch_format="pyarrow").to_pandas()

@@ -7,6 +7,8 @@ These extend the engine beyond the reference's own surface (the task
 brief's "operations a large-scale training-data pipeline would need");
 the distributed shapes run on the bucketed exchange of
 ``stages/exchange.py`` (directly, or through ``stages/shuffle.py``).
+``tfidf_top`` broadcasts its document-frequency table up to the single
+cap ``stages.shuffle.BROADCAST_MAX`` rows and cogroups it above.
 All numeric outputs are exact-integer or correctly-rounded IEEE
 doubles so the DuckDB oracles hash-match.
 """
@@ -19,9 +21,10 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
+from ..functions.lookup import sorted_lookup
 from ..stages.exchange import block_groups, exchange, route
+from ..stages.shuffle import BROADCAST_MAX
 from .queries_text import _md5_lower64
 
 # ------------------------------------------------------------ shared helpers
@@ -375,16 +378,10 @@ def q_heavy_hitters(sf_dir: str):
         # vectorized membership: unique the batch words once, then one
         # sorted-array searchsorted against the broadcast candidates —
         # no per-word Python loop over the corpus
-        cand = ray.get(cand_ref)
         _, words = _explode_words(b)
         uniq, cnt = np.unique(words, return_counts=True)
-        if len(cand) and len(uniq):
-            j = np.searchsorted(cand, uniq)
-            j[j >= len(cand)] = len(cand) - 1
-            keep = cand[j] == uniq
-            uniq, cnt = uniq[keep], cnt[keep]
-        else:
-            uniq, cnt = uniq[:0], cnt[:0]
+        keep, _ = sorted_lookup(ray.get(cand_ref), uniq)
+        uniq, cnt = uniq[keep], cnt[keep]
         return pa.table(
             {"word": pa.array(list(uniq), pa.string()),
              "cnt": pa.array(cnt, pa.int64())}
@@ -512,18 +509,16 @@ def sql_pii_redact() -> str:
 #
 # Top-3 terms per document by tf/df score.  The document-frequency
 # table is vocabulary-sized (Heaps' law: << corpus), built with one
-# map-side-combined exchange, then BROADCAST (ray.put, read once per
-# worker) into a per-batch vectorized scoring pass — the canonical
-# small-side pattern, no second shuffle.  Scores are single correctly-
+# map-side-combined exchange, then BROADCAST (``broadcast_table`` keyed
+# by the word's md5-low64, read once per worker) into a per-batch
+# vectorized scoring pass — the canonical small-side pattern, no second
+# shuffle.  Above ``BROADCAST_MAX`` terms (at 100 TB the vocabulary is
+# hundreds of millions of terms) scoring becomes a word cogroup
+# instead.  Scores are single correctly-
 # rounded IEEE divisions (tf, df exact ints), so DuckDB reproduces them
 # bit-exactly; ties break on word ASC.
 
 TFIDF_TOP = 3
-# above this vocabulary size the df table is no longer broadcast —
-# the scoring pass becomes a bucketed word-join instead (at 100 TB the
-# vocabulary is hundreds of millions of terms: a multi-GB per-node
-# dict is the wrong shape)
-TFIDF_BROADCAST_MAX = 2_000_000
 
 
 def _doc_tf(b: pa.Table) -> pa.Table:
@@ -553,13 +548,12 @@ def _tfidf_topn(t: pd.DataFrame) -> pd.DataFrame:
     return t[["doc_id", "word", "tf", "df_docs", "score"]]
 
 
-def q_tfidf_top(sf_dir: str, broadcast_max: int | None = None):
+def q_tfidf_top(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     import ray
 
-    from ..stages.shuffle import bucketed_apply, grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = TFIDF_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     def doc_word_partials(b: pa.Table) -> pa.Table:
         doc, words = _explode_words(b)
@@ -575,61 +569,32 @@ def q_tfidf_top(sf_dir: str, broadcast_max: int | None = None):
         ds.map_batches(doc_word_partials, batch_format="pyarrow"),
         ["word"], {"df_docs": ("n", "sum")},
     )
-    vocab_rows = df_ds.count()
-    if vocab_rows > broadcast_max:
-        # --- scale path: bucketed word-join, vocabulary never leaves
-        # the object store.  tf rows and df rows co-locate per word
-        # bucket; the joined scores re-bucket on doc_id for the top-N.
-        tf_ds = ds.map_batches(_doc_tf, batch_format="pyarrow")
-
-        def tag_tf(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "df_docs", pa.array(np.full(t.num_rows, -1, np.int64)))
-
-        def tag_df(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-                "word": t.column("word"),
-                "tf": pa.array(np.zeros(t.num_rows, np.int64)),
-                "df_docs": pc.cast(t.column("df_docs"), pa.int64()),
-            })
-
-        both = tf_ds.map_batches(tag_tf, batch_format="pyarrow").union(
-            df_ds.map_batches(tag_df, batch_format="pyarrow"))
-
-        def join_df(g: pd.DataFrame) -> pd.DataFrame:
-            dfs = g[g["doc_id"] == -1]
-            tfs = g[g["doc_id"] != -1]
-            if tfs.empty:
-                return tfs
+    # under the cap the broadcast copy is keyed by md5-low64, so it
+    # holds no strings: one hash per vocabulary term, on the driver
+    vocab = broadcast_table(
+        df_ds, "word", broadcast_max,
+        key_fn=lambda w: _md5_lower64(w).view(np.int64))
+    if vocab is None:
+        # --- scale path: word cogroup, vocabulary never leaves the
+        # object store.  tf rows and df rows meet per word bucket; the
+        # joined scores re-bucket on doc_id for the top-N.
+        def join_df(tfs: pd.DataFrame, dfs: pd.DataFrame) -> pd.DataFrame:
             lut = pd.Series(dfs["df_docs"].to_numpy(),
                             index=dfs["word"].to_numpy())
-            tfs = tfs.copy()
-            tfs["df_docs"] = tfs["word"].map(lut).astype(np.int64)
-            return tfs
+            return tfs.assign(df_docs=tfs["word"].map(lut).astype(np.int64))
 
-        joined = bucketed_apply(both, ["word"], join_df, n_buckets=32)
-        return bucketed_apply(joined, ["doc_id"], _tfidf_topn,
-                              n_buckets=32)
-
-    # --- broadcast path: sorted (hash, df) int64 arrays via ray.put —
-    # ~16 bytes/term, zero-copy from the object store, searchsorted
-    # probe per batch (no Python dict, no per-row hash lookup)
-    df_tbl = df_ds.to_pandas()
-    vwords = df_tbl["word"].to_numpy(dtype=object)
-    vhash = _md5_lower64(vwords)
-    order = np.argsort(vhash, kind="stable")
-    df_ref = ray.put((vhash[order],
-                      df_tbl["df_docs"].to_numpy().astype(np.int64)[order]))
+        joined = bucketed_apply(
+            (ds.map_batches(_doc_tf, batch_format="pyarrow"), df_ds),
+            ["word"], join_df)
+        return bucketed_apply(joined, ["doc_id"], _tfidf_topn)
 
     def score(b: pa.Table) -> pa.Table:
-        hsorted, dfsorted = ray.get(df_ref)
         t = _doc_tf(b).to_pandas()
-        # md5 once per unique word in the batch, then one searchsorted
+        # md5 once per unique word in the batch, then one sorted lookup
         codes, uniq = pd.factorize(t["word"], sort=False)
-        uh = _md5_lower64(uniq)
-        j = np.searchsorted(hsorted, uh)
-        t["df_docs"] = dfsorted[j][codes]
+        _, (df_docs,) = vocab.lookup(
+            _md5_lower64(uniq).view(np.int64), "df_docs")
+        t["df_docs"] = df_docs[codes]
         return pa.Table.from_pandas(_tfidf_topn(t), preserve_index=False)
 
     return ds.map_batches(score, batch_format="pyarrow")

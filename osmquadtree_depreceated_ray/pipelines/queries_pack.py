@@ -20,10 +20,12 @@ Three operators over the documents table, each with a DuckDB oracle:
 Scale notes (100 TB): ``seq_pack`` shuffles only (source, doc_id,
 n_tokens) — O(rows) tiny fixed-width rows bucketed by shard, each
 shard's group sorted locally; ``chunk_dedup``'s duplicated-chunk set is
-collected and broadcast (sorted uint64 + searchsorted, the
-bloom_semijoin recheck shape) because real corpora duplicate a tiny
-fraction of spans — above ``DUP_BROADCAST_MAX`` the probe becomes a
-bucketed semi-join on the chunk hash (same fallback contract as
+collected and broadcast (``stages.shuffle.broadcast_table``: sorted
+int64 hashes probed with ``sorted_lookup``, the bloom_semijoin recheck
+shape) because real corpora duplicate a tiny fraction of spans — above
+the single cap ``stages.shuffle.BROADCAST_MAX`` the probe becomes a
+cogroup on the chunk hash (``bucketed_apply`` over two inputs; the same
+rule serves decontaminate, dup_spans, dedup_rewrite, span_rewrite and
 ``tfidf_top``); ``repetition`` is embarrassingly parallel per batch.
 
 Reference analogue: the reference has no text curation; these extend
@@ -39,15 +41,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import pyarrow.compute as pc
-
+from ..stages.shuffle import BROADCAST_MAX
 from .queries_text import _md5_lower64
 
 PACK_BUDGET = 256          # tokens per training bin
 CHUNK_W = 8                # words per dedup chunk (line stand-in)
-DUP_BROADCAST_MAX = 2_000_000  # dup-chunk set size above which the
-# probe must become a bucketed semi-join on the chunk hash instead of a
-# broadcast array (same threshold contract as TFIDF_BROADCAST_MAX)
 
 
 # ------------------------------------------------- 1. sequence packing
@@ -167,82 +165,44 @@ def sql_pack_export() -> str:
     )
 
 
-# ---------------- shared bucketed semi-count (the above-threshold path)
+# ---------------- shared bucketed semi-count (the above-cap path)
 
-def _bucketed_hit_counts(occ_ds, set_ds, totals_ds):
+def _bucketed_hit_counts(occ_ds, set_ds, totals_ds, names):
     """Per-doc membership counting WITHOUT collecting the probe set:
     the scale path for chunk_dedup / decontaminate when the
-    duplicated-chunk / eval-gram set exceeds DUP_BROADCAST_MAX.
+    duplicated-chunk / eval-gram set is above the broadcast cap.
 
     occ_ds:    (doc_id, gh, cnt)  — per-doc hash occurrence counts
     set_ds:    (gh)               — the membership set, as a Dataset
     totals_ds: (doc_id, total)    — per-doc denominators (map-side)
 
-    Two bucketed exchanges, no driver-side set: (1) occ and set rows
-    co-locate per gh bucket (set rows tagged doc_id = -1, the tfidf
-    fallback's marker shape) and hit partials aggregate per doc;
-    (2) partials merge with totals per doc_id bucket.  Returns a
-    Dataset (doc_id, total, hits)."""
+    Two cogroup exchanges, no driver-side set: (1) occ and set rows
+    meet per gh bucket and hit partials aggregate per doc; (2) partials
+    meet totals per doc_id bucket.  Returns a Dataset (doc_id, total,
+    hits, hits / total) under ``names`` for the last three."""
     from ..stages.shuffle import bucketed_apply
 
-    def tag_set(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-             "gh": t.column("gh"),
-             "cnt": pa.array(np.zeros(t.num_rows, np.int64))})
-
-    both = occ_ds.union(set_ds.map_batches(tag_set, batch_format="pyarrow"))
-
-    def hit(g: pd.DataFrame) -> pd.DataFrame:
-        mem = g.loc[g["doc_id"] == -1, "gh"]
-        occ = g[g["doc_id"] != -1]
-        occ = occ[occ["gh"].isin(mem)]
-        if occ.empty:
-            return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                                 "hits": pd.Series(dtype=np.int64)})
+    def hit(occ: pd.DataFrame, mem: pd.DataFrame) -> pd.DataFrame:
+        occ = occ[occ["gh"].isin(mem["gh"])]
         per = occ.groupby("doc_id", sort=False)["cnt"].sum()
         return pd.DataFrame({"doc_id": per.index.to_numpy(np.int64),
                              "hits": per.to_numpy(np.int64)})
 
-    hits = bucketed_apply(both, ["gh"], hit)
+    hits = bucketed_apply((occ_ds, set_ds), ["gh"], hit)
 
-    def tag_hits(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "total": pa.array(
-                             np.zeros(t.num_rows, np.int64)),
-                         "hits": t.column("hits")})
+    def fin(h: pd.DataFrame, tot: pd.DataFrame) -> pd.DataFrame:
+        # every doc has one totals row; hit partials may be several
+        per = h.groupby("doc_id", sort=False)["hits"].sum()
+        total = tot["total"].to_numpy(np.int64)
+        n_hit = tot["doc_id"].map(per).fillna(0).to_numpy(np.int64)
+        return pd.DataFrame({"doc_id": tot["doc_id"].to_numpy(np.int64),
+                             names[0]: total, names[1]: n_hit,
+                             names[2]: n_hit / total})
 
-    def tag_tot(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "total": t.column("total"),
-                         "hits": pa.array(
-                             np.zeros(t.num_rows, np.int64))})
-
-    u = hits.map_batches(tag_hits, batch_format="pyarrow").union(
-        totals_ds.map_batches(tag_tot, batch_format="pyarrow"))
-
-    def fin(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("doc_id", sort=False).agg(
-            total=("total", "sum"), hits=("hits", "sum"))
-        # docs absent from totals cannot occur (every doc emits one
-        # totals row); hit partials for doc -1 never reach here
-        return pd.DataFrame({"doc_id": per.index.to_numpy(np.int64),
-                             "total": per["total"].to_numpy(np.int64),
-                             "hits": per["hits"].to_numpy(np.int64)})
-
-    return bucketed_apply(u, ["doc_id"], fin)
+    return bucketed_apply((hits, totals_ds), ["doc_id"], fin)
 
 
 # ------------------------------------- 2. duplicate-chunk removal (C4)
-
-def _col_or_empty(df, col: str) -> np.ndarray:
-    """Sorted int64 column from a driver-collected small table —
-    tolerating the fully-empty case where Dataset.to_pandas() loses
-    the schema (zero candidate rows -> no columns at all)."""
-    if col not in df.columns:
-        return np.empty(0, np.int64)
-    return np.sort(df[col].to_numpy().astype(np.int64))
-
 
 def _doc_chunks(b: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(doc_id_per_chunk, chunk_string) — every consecutive CHUNK_W-word
@@ -278,23 +238,27 @@ def _doc_chunks(b: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return chunk_doc, s
 
 
-def q_chunk_dedup(sf_dir: str, broadcast_max: int | None = None):
+def _doc_chunk_hashes(b: pa.Table):
+    """(doc_id_per_chunk, chunk_string, md5-low64 chunk hash) — the
+    :func:`_doc_chunks` windows, each distinct string hashed once."""
+    d, s = _doc_chunks(b)
+    codes, uniq = pd.factorize(pd.Series(s), sort=False)
+    return d, s, _md5_lower64(uniq).view(np.int64)[codes]
+
+
+def q_chunk_dedup(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Per-doc duplicated-span stats: (doc_id, n_chunks, n_dup, dup_frac)
     where a chunk is "dup" iff its exact text occurs in >= 2 distinct
     docs anywhere in the corpus.
 
     Two passes: (1) distinct (doc, chunk-hash) pairs -> map-side-combined
-    count per hash -> the small duplicated-hash set, sorted + broadcast
-    via ray.put; (2) per-batch searchsorted membership recount.  Above
-    ``broadcast_max`` (default DUP_BROADCAST_MAX) the probe instead runs
-    through :func:`_bucketed_hit_counts` — two bucketed exchanges, the
-    dup set never collects to the driver."""
+    count per hash -> the small duplicated-hash set, broadcast sorted;
+    (2) per-batch membership recount.  Above ``broadcast_max`` the probe
+    instead runs through :func:`_bucketed_hit_counts` — two cogroup
+    exchanges, the dup set never collects to the driver."""
     import ray
 
-    from ..stages.shuffle import grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = DUP_BROADCAST_MAX
+    from ..stages.shuffle import broadcast_table, grouped_agg
 
     def pairs(b: pa.Table) -> pa.Table:
         d, s = _doc_chunks(b)
@@ -312,12 +276,11 @@ def q_chunk_dedup(sf_dir: str, broadcast_max: int | None = None):
     )
     dup_ds = counts.filter(expr="n_docs >= 2").select_columns(
         ["gh"]).materialize()  # count() + consume = ONE pass-1 execution
-    if dup_ds.count() > broadcast_max:
+    dup = broadcast_table(dup_ds, "gh", broadcast_max)
+    if dup is None:
         # scale path: bucketed semi-count, no driver-side set
         def occ(b: pa.Table) -> pa.Table:
-            d, s = _doc_chunks(b)
-            codes, uniq = pd.factorize(pd.Series(s), sort=False)
-            gh = _md5_lower64(uniq).view(np.int64)[codes]
+            d, _s, gh = _doc_chunk_hashes(b)
             per = (pd.DataFrame({"doc_id": d, "gh": gh})
                    .groupby(["doc_id", "gh"], sort=False).size()
                    .reset_index(name="cnt"))
@@ -329,34 +292,14 @@ def q_chunk_dedup(sf_dir: str, broadcast_max: int | None = None):
             return pa.table({"doc_id": pa.array(docs),
                              "total": pa.array(n.astype(np.int64))})
 
-        merged = _bucketed_hit_counts(
+        return _bucketed_hit_counts(
             ds.map_batches(occ, batch_format="pyarrow"), dup_ds,
-            ds.map_batches(totals, batch_format="pyarrow"))
-
-        def shape(t: pa.Table) -> pa.Table:
-            tot = t.column("total").to_numpy()
-            hits = t.column("hits").to_numpy()
-            return pa.table({"doc_id": t.column("doc_id"),
-                             "n_chunks": pa.array(tot),
-                             "n_dup": pa.array(hits),
-                             "dup_frac": pa.array(hits / tot)})
-
-        return merged.map_batches(shape, batch_format="pyarrow")
-
-    dup = dup_ds.to_pandas()
-    dup_ref = ray.put(_col_or_empty(dup, "gh"))
+            ds.map_batches(totals, batch_format="pyarrow"),
+            ("n_chunks", "n_dup", "dup_frac"))
 
     def recount(b: pa.Table) -> pa.Table:
-        dset = ray.get(dup_ref)
-        d, s = _doc_chunks(b)
-        codes, uniq = pd.factorize(pd.Series(s), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes]
-        if len(dset):
-            j = np.searchsorted(dset, gh)
-            j[j >= len(dset)] = len(dset) - 1
-            isdup = dset[j] == gh
-        else:
-            isdup = np.zeros(len(gh), bool)
+        d, _s, gh = _doc_chunk_hashes(b)
+        isdup, _ = dup.lookup(gh)
         docs, n_all = np.unique(d, return_counts=True)
         n_all = n_all.astype(np.int64)
         n_dup = np.bincount(
@@ -540,19 +483,20 @@ def _doc_gram_scan(b: pa.Table, width: int = NGRAM_W):
             np.concatenate(ghs_out))
 
 
-def q_decontaminate(sf_dir: str, broadcast_max: int | None = None):
+def q_decontaminate(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Benchmark-overlap screening: flag how much of every corpus doc
     is covered by sliding 8-grams that also occur in the eval set
     (docs with doc_id % EVAL_MOD == 0 stand in for the benchmark).
     Output per corpus doc: (doc_id, n_grams, n_contam, contam_frac).
 
     The eval-set gram table is the SMALL side (benchmarks are tiny
-    next to a training corpus): its distinct gram hashes are collected
-    sorted and broadcast once via ray.put, probed per batch with
-    searchsorted — the bloom_semijoin recheck shape.  Above
-    DUP_BROADCAST_MAX the probe becomes a bucketed semi-join on the
-    gram hash (same fallback contract as chunk_dedup)."""
+    next to a training corpus): its distinct gram hashes are broadcast
+    sorted and probed per batch — the bloom_semijoin recheck shape.
+    Above ``broadcast_max`` the probe becomes a bucketed semi-join on
+    the gram hash (same fallback contract as chunk_dedup)."""
     import ray
+
+    from ..stages.shuffle import broadcast_table, distinct
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -564,73 +508,46 @@ def q_decontaminate(sf_dir: str, broadcast_max: int | None = None):
         _rows, gh = _doc_gram_hashes(sub)
         return pa.table({"gh": pa.array(np.unique(gh))})
 
-    from ..stages.shuffle import distinct
+    def corpus_grams(b: pa.Table):
+        keep = np.flatnonzero(
+            b.column("doc_id").to_numpy() % EVAL_MOD != 0)
+        sub = b.take(pa.array(keep, pa.int64()))
+        rows, gh = _doc_gram_hashes(sub)
+        return sub.column("doc_id").to_numpy().astype(np.int64)[rows], gh
 
-    if broadcast_max is None:
-        broadcast_max = DUP_BROADCAST_MAX
     ev_ds = distinct(
         ds.map_batches(eval_grams, batch_format="pyarrow"),
         ["gh"]).materialize()  # count() + consume = ONE pass-1 execution
-    if ev_ds.count() > broadcast_max:
+    ev = broadcast_table(ev_ds, "gh", broadcast_max)
+    if ev is None:
         # scale path: bucketed semi-count against the eval-gram set
         def occ(b: pa.Table) -> pa.Table:
-            keep = np.flatnonzero(
-                b.column("doc_id").to_numpy() % EVAL_MOD != 0)
-            sub = b.take(pa.array(keep, pa.int64()))
-            rows, gh = _doc_gram_hashes(sub)
-            d = sub.column("doc_id").to_numpy().astype(np.int64)[rows]
+            d, gh = corpus_grams(b)
             per = (pd.DataFrame({"doc_id": d, "gh": gh})
                    .groupby(["doc_id", "gh"], sort=False).size()
                    .reset_index(name="cnt"))
             return pa.Table.from_pandas(per, preserve_index=False)
 
         def totals(b: pa.Table) -> pa.Table:
-            keep = np.flatnonzero(
-                b.column("doc_id").to_numpy() % EVAL_MOD != 0)
-            sub = b.take(pa.array(keep, pa.int64()))
-            rows, _gh = _doc_gram_hashes(sub)
-            d = sub.column("doc_id").to_numpy().astype(np.int64)[rows]
-            docs, n = np.unique(d, return_counts=True)
+            docs, n = np.unique(corpus_grams(b)[0], return_counts=True)
             return pa.table(
                 {"doc_id": pa.array(docs.astype(np.int64)),
                  "total": pa.array(n.astype(np.int64))})
 
-        merged = _bucketed_hit_counts(
+        return _bucketed_hit_counts(
             ds.map_batches(occ, batch_format="pyarrow"), ev_ds,
-            ds.map_batches(totals, batch_format="pyarrow"))
-
-        def shape(t: pa.Table) -> pa.Table:
-            tot = t.column("total").to_numpy()
-            hits = t.column("hits").to_numpy()
-            return pa.table({"doc_id": t.column("doc_id"),
-                             "n_grams": pa.array(tot),
-                             "n_contam": pa.array(hits),
-                             "contam_frac": pa.array(hits / tot)})
-
-        return merged.map_batches(shape, batch_format="pyarrow")
-
-    evset = ev_ds.to_pandas()
-    ev_ref = ray.put(_col_or_empty(evset, "gh"))
+            ds.map_batches(totals, batch_format="pyarrow"),
+            ("n_grams", "n_contam", "contam_frac"))
 
     def probe(b: pa.Table) -> pa.Table:
-        ev = ray.get(ev_ref)
-        keep = np.flatnonzero(
-            b.column("doc_id").to_numpy() % EVAL_MOD != 0)
-        sub = b.take(pa.array(keep, pa.int64()))
-        rows, gh = _doc_gram_hashes(sub)
-        if not len(rows):
+        d, gh = corpus_grams(b)
+        if not len(d):
             return pa.table(
                 {"doc_id": pa.array([], pa.int64()),
                  "n_grams": pa.array([], pa.int64()),
                  "n_contam": pa.array([], pa.int64()),
                  "contam_frac": pa.array([], pa.float64())})
-        if len(ev):
-            j = np.searchsorted(ev, gh)
-            j[j >= len(ev)] = len(ev) - 1
-            hit = ev[j] == gh
-        else:
-            hit = np.zeros(len(gh), bool)
-        d = sub.column("doc_id").to_numpy().astype(np.int64)[rows]
+        hit, _ = ev.lookup(gh)
         docs = np.unique(d)
         idx = np.searchsorted(docs, d)
         n_all = np.bincount(idx, minlength=len(docs)).astype(np.int64)
@@ -919,7 +836,7 @@ def _run_stats(row: np.ndarray, isdup: np.ndarray):
     return docs, n_grams, n_dup, max_run
 
 
-def q_dup_spans(sf_dir: str, broadcast_max: int | None = None):
+def q_dup_spans(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Per-doc duplicated-substring stats: (doc_id, n_grams, n_dup,
     max_run) over sliding NGRAM_W-word windows, where a window is "dup"
     iff its exact text occurs in >= 2 distinct docs and max_run is the
@@ -927,62 +844,34 @@ def q_dup_spans(sf_dir: str, broadcast_max: int | None = None):
     shared substring, in window units).
 
     Pass 1 = distinct (doc, gram-hash) pairs -> map-side-combined count
-    per hash -> the duplicated-hash set (tiny for real corpora), sorted
-    + broadcast via ray.put; pass 2 = per-batch searchsorted membership
-    + one vectorized run-length pass (:func:`_run_stats`).  Above
-    ``broadcast_max`` the probe instead runs as two bucketed exchanges
-    carrying (doc_id, pos) hit rows — positions, not counts, because
-    the run statistic needs them — and the dup set never collects to
-    the driver."""
+    per hash -> the duplicated-hash set (tiny for real corpora),
+    broadcast sorted; pass 2 = per-batch membership + one vectorized
+    run-length pass (:func:`_run_stats`).  Above ``broadcast_max`` the
+    probe instead runs as two cogroup exchanges carrying (doc_id, pos)
+    hit rows — positions, not counts, because the run statistic needs
+    them — and the dup set never collects to the driver."""
     import ray
 
-    from ..stages.shuffle import bucketed_apply, grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = DUP_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    def pairs(b: pa.Table) -> pa.Table:
-        _row, gh = _doc_gram_hashes(b)
-        df = pd.DataFrame({"r": _row, "gh": gh}).drop_duplicates()
-        return pa.table({"gh": pa.array(df["gh"].to_numpy(np.int64)),
-                         "one": pa.array(np.ones(len(df), np.int64))})
-
     counts = grouped_agg(
-        ds.map_batches(pairs, batch_format="pyarrow"),
+        ds.map_batches(_gram_doc_pairs, batch_format="pyarrow"),
         ["gh"], {"n_docs": ("one", "sum")})
     dup_ds = counts.filter(expr="n_docs >= 2").select_columns(
         ["gh"]).materialize()  # count() + consume = ONE pass-1 execution
+    dup = broadcast_table(dup_ds, "gh", broadcast_max)
 
-    if dup_ds.count() > broadcast_max:
+    if dup is None:
         # scale path: position-carrying bucketed semi-join, then a
         # per-doc exchange computing the run statistic from positions
-        def occ(b: pa.Table) -> pa.Table:
-            row, pos, gh = _doc_gram_hashes_pos(b)
-            doc = b.column("doc_id").to_numpy()[row].astype(np.int64)
-            return pa.table({"doc_id": pa.array(doc),
-                             "pos": pa.array(pos),
-                             "gh": pa.array(gh)})
-
-        def tag_set(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-                 "pos": pa.array(np.zeros(t.num_rows, np.int64)),
-                 "gh": t.column("gh")})
-
-        both = ds.map_batches(occ, batch_format="pyarrow").union(
-            dup_ds.map_batches(tag_set, batch_format="pyarrow"))
-
-        def hit(g: pd.DataFrame) -> pd.DataFrame:
-            mem = g.loc[g["doc_id"] == -1, "gh"]
-            o = g[g["doc_id"] != -1]
-            o = o[o["gh"].isin(mem)]
-            return pd.DataFrame({"doc_id": o["doc_id"].to_numpy(np.int64),
-                                 "pos": o["pos"].to_numpy(np.int64)})
-
-        hits = bucketed_apply(both, ["gh"], hit)
+        hits = bucketed_apply(
+            (ds.map_batches(_gram_occurrences, batch_format="pyarrow"),
+             dup_ds), ["gh"], _dup_positions)
 
         def totals(b: pa.Table) -> pa.Table:
             n_grams = np.maximum(
@@ -990,68 +879,41 @@ def q_dup_spans(sf_dir: str, broadcast_max: int | None = None):
             r = np.flatnonzero(n_grams)
             doc = b.column("doc_id").to_numpy()[r].astype(np.int64)
             return pa.table({"doc_id": pa.array(doc),
-                             "pos": pa.array(
-                                 np.full(len(r), -1, np.int64)),
                              "tot": pa.array(n_grams[r])})
 
-        def tag_hits(t: pa.Table) -> pa.Table:
-            return pa.table({"doc_id": t.column("doc_id"),
-                             "pos": t.column("pos"),
-                             "tot": pa.array(
-                                 np.zeros(t.num_rows, np.int64))})
-
-        u = hits.map_batches(tag_hits, batch_format="pyarrow").union(
-            ds.map_batches(totals, batch_format="pyarrow"))
-
-        def fin(g: pd.DataFrame) -> pd.DataFrame:
-            gg = g.sort_values(["doc_id", "pos"], kind="stable")
-            d = gg["doc_id"].to_numpy(np.int64)
-            p = gg["pos"].to_numpy(np.int64)
-            t = gg["tot"].to_numpy(np.int64)
-            docs = np.unique(d)
+        def fin(h: pd.DataFrame, tot: pd.DataFrame) -> pd.DataFrame:
+            h = h.sort_values(["doc_id", "pos"], kind="stable")
+            d = h["doc_id"].to_numpy(np.int64)
+            p = h["pos"].to_numpy(np.int64)
+            docs = tot["doc_id"].to_numpy(np.int64)
+            order = np.argsort(docs, kind="stable")
+            docs = docs[order]
             idx = np.searchsorted(docs, d)
-            n_grams = np.bincount(
-                idx, weights=t.astype(np.float64),
-                minlength=len(docs)).astype(np.int64)
-            ishit = p >= 0
-            n_dup = np.bincount(
-                idx, weights=ishit.astype(np.float64),
-                minlength=len(docs)).astype(np.int64)
+            n_dup = np.bincount(idx, minlength=len(docs)).astype(np.int64)
             # positions are sorted per doc: a run continues while the
             # next position is prev+1 within the same doc
-            cont = np.concatenate(
-                [[False],
-                 ishit[:-1] & ishit[1:] & (d[1:] == d[:-1])
-                 & (p[1:] == p[:-1] + 1)])
-            starts = ishit & ~cont
+            starts = np.ones(len(d), bool)
+            starts[1:] = (d[1:] != d[:-1]) | (p[1:] != p[:-1] + 1)
             max_run = np.zeros(len(docs), np.int64)
-            n_runs = int(starts.sum())
-            if n_runs:
-                run_id = np.cumsum(starts) - 1
-                run_len = np.bincount(run_id[ishit], minlength=n_runs)
-                np.maximum.at(max_run, idx[starts], run_len)
-            return pd.DataFrame({"doc_id": docs, "n_grams": n_grams,
-                                 "n_dup": n_dup, "max_run": max_run})
+            np.maximum.at(max_run, idx[starts], np.bincount(
+                np.cumsum(starts) - 1, minlength=int(starts.sum())))
+            return pd.DataFrame({
+                "doc_id": docs,
+                "n_grams": tot["tot"].to_numpy(np.int64)[order],
+                "n_dup": n_dup, "max_run": max_run})
 
-        return bucketed_apply(u, ["doc_id"], fin)
-
-    dup = dup_ds.to_pandas()
-    dup_ref = ray.put(_col_or_empty(dup, "gh"))
+        return bucketed_apply(
+            (hits, ds.map_batches(totals, batch_format="pyarrow")),
+            ["doc_id"], fin)
 
     def probe(b: pa.Table) -> pa.Table:
-        dset = ray.get(dup_ref)
         row, gh = _doc_gram_hashes(b)
         if not len(row):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "n_grams": pa.array([], pa.int64()),
                              "n_dup": pa.array([], pa.int64()),
                              "max_run": pa.array([], pa.int64())})
-        if len(dset):
-            j = np.searchsorted(dset, gh)
-            j[j >= len(dset)] = len(dset) - 1
-            isdup = dset[j] == gh
-        else:
-            isdup = np.zeros(len(gh), bool)
+        isdup, _ = dup.lookup(gh)
         rows, n_grams, n_dup, max_run = _run_stats(row, isdup)
         doc = b.column("doc_id").to_numpy()[rows].astype(np.int64)
         return pa.table({"doc_id": pa.array(doc),
@@ -1060,6 +922,32 @@ def q_dup_spans(sf_dir: str, broadcast_max: int | None = None):
                          "max_run": pa.array(max_run)})
 
     return ds.map_batches(probe, batch_format="pyarrow")
+
+
+def _gram_doc_pairs(b: pa.Table) -> pa.Table:
+    """(gh, one) per distinct (doc, gram hash) of a batch: summed per
+    gh, the number of docs a gram occurs in."""
+    _row, gh = _doc_gram_hashes(b)
+    df = pd.DataFrame({"r": _row, "gh": gh}).drop_duplicates()
+    return pa.table({"gh": pa.array(df["gh"].to_numpy(np.int64)),
+                     "one": pa.array(np.ones(len(df), np.int64))})
+
+
+def _gram_occurrences(b: pa.Table) -> pa.Table:
+    """(doc_id, pos, gh) for every sliding NGRAM_W-gram of a batch."""
+    row, pos, gh = _doc_gram_hashes_pos(b)
+    doc = b.column("doc_id").to_numpy()[row].astype(np.int64)
+    return pa.table({"doc_id": pa.array(doc),
+                     "pos": pa.array(pos),
+                     "gh": pa.array(gh)})
+
+
+def _dup_positions(occ: pd.DataFrame, dup: pd.DataFrame) -> pd.DataFrame:
+    """One gh bucket: the (doc_id, pos) of every occurrence whose gram
+    hash is in the duplicated set."""
+    o = occ[occ["gh"].isin(dup["gh"])]
+    return pd.DataFrame({"doc_id": o["doc_id"].to_numpy(np.int64),
+                         "pos": o["pos"].to_numpy(np.int64)})
 
 
 def sql_dup_spans() -> str:
@@ -1340,7 +1228,7 @@ def _run_ordinal(d: np.ndarray) -> np.ndarray:
     return np.arange(n, dtype=np.int64) - run_start[np.cumsum(newrun) - 1]
 
 
-def q_dedup_rewrite(sf_dir: str, broadcast_max: int | None = None):
+def q_dedup_rewrite(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Cleaned documents after duplicate-chunk removal: (doc_id,
     clean_text, n_kept, n_removed).  clean_text is NULL when every
     chunk of the doc was removed (the oracle's FILTERed string_agg
@@ -1348,18 +1236,17 @@ def q_dedup_rewrite(sf_dir: str, broadcast_max: int | None = None):
 
     Pass 1 = distinct (doc, chunk-hash) pairs -> map-side-combined
     (owner=min doc, n_docs) per hash -> the duplicated-hash removal
-    table, broadcast as parallel sorted (gh, owner) arrays; pass 2 =
-    per-batch searchsorted membership + owner check + per-doc rejoin.
-    Above ``broadcast_max`` the removal table instead meets chunk
-    occurrences in a gh-bucketed exchange (flags only — text never
-    enters the shuffle) and flags meet the docs in a doc_id-bucketed
-    exchange where the rewrite happens."""
+    table, broadcast gh-sorted with its owner column; pass 2 =
+    per-batch membership + owner check + per-doc rejoin.  Above
+    ``broadcast_max`` the removal table instead meets chunk occurrences
+    in a gh cogroup (flags only — text never enters that exchange) and
+    flags meet the docs in a doc_id cogroup where the rewrite
+    happens."""
     import ray
 
-    from ..stages.shuffle import bucketed_apply, grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = DUP_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -1368,8 +1255,7 @@ def q_dedup_rewrite(sf_dir: str, broadcast_max: int | None = None):
         d, s = _doc_chunks(b)
         df = pd.DataFrame({"doc_id": d, "g": s}).drop_duplicates()
         codes, uniq = pd.factorize(df["g"], sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes] \
-            if len(df) else np.empty(0, np.int64)
+        gh = _md5_lower64(uniq).view(np.int64)[codes]
         return pa.table({"gh": pa.array(gh),
                          "doc_id": pa.array(
                              df["doc_id"].to_numpy(np.int64)),
@@ -1380,13 +1266,7 @@ def q_dedup_rewrite(sf_dir: str, broadcast_max: int | None = None):
         ["gh"], {"owner": ("doc_id", "min"), "n_docs": ("one", "sum")})
     rm_ds = own.filter(expr="n_docs >= 2").select_columns(
         ["gh", "owner"]).materialize()  # count() + consume = ONE execution
-
-    def chunks_of(b: pa.Table):
-        d, s = _doc_chunks(b)
-        codes, uniq = pd.factorize(pd.Series(s), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes] \
-            if len(s) else np.empty(0, np.int64)
-        return d, s, gh
+    rm = broadcast_table(rm_ds, "gh", broadcast_max)
 
     def rebuild(doc: np.ndarray, s: np.ndarray, keep: np.ndarray,
                 all_docs: np.ndarray) -> pd.DataFrame:
@@ -1407,98 +1287,54 @@ def q_dedup_rewrite(sf_dir: str, broadcast_max: int | None = None):
             per["clean_text"].notna(), None)
         return per[["doc_id", "clean_text", "n_kept", "n_removed"]]
 
-    if rm_ds.count() > broadcast_max:
-        # scale path: flags through a gh bucket join, rewrite in a
-        # doc_id bucket join — the removal table never collects
+    if rm is None:
+        # scale path: flags through a gh cogroup, rewrite in a doc_id
+        # cogroup — the removal table never collects
         def occ(b: pa.Table) -> pa.Table:
-            d, s, gh = chunks_of(b)
-            cid = _run_ordinal(d)
+            d, _s, gh = _doc_chunk_hashes(b)
             return pa.table({"doc_id": pa.array(d),
-                             "cid": pa.array(cid),
-                             "gh": pa.array(gh),
-                             "owner": pa.array(
-                                 np.full(len(d), -1, np.int64))})
+                             "cid": pa.array(_run_ordinal(d)),
+                             "gh": pa.array(gh)})
 
-        def tag_rm(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-                 "cid": pa.array(np.zeros(t.num_rows, np.int64)),
-                 "gh": t.column("gh"),
-                 "owner": t.column("owner")})
-
-        both = ds.map_batches(occ, batch_format="pyarrow").union(
-            rm_ds.map_batches(tag_rm, batch_format="pyarrow"))
-
-        def flag(g: pd.DataFrame) -> pd.DataFrame:
-            mem = g[g["doc_id"] == -1][["gh", "owner"]]
-            o = g[g["doc_id"] != -1].merge(mem, on="gh", how="inner",
-                                           suffixes=("", "_m"))
-            o = o[o["doc_id"] != o["owner_m"]]
+        def flag(o: pd.DataFrame, own: pd.DataFrame) -> pd.DataFrame:
+            o = o.merge(own, on="gh", how="inner")
+            o = o[o["doc_id"] != o["owner"]]
             return pd.DataFrame({
                 "doc_id": o["doc_id"].to_numpy(np.int64),
                 "cid": o["cid"].to_numpy(np.int64)})
 
-        flags = bucketed_apply(both, ["gh"], flag)
+        flags = bucketed_apply(
+            (ds.map_batches(occ, batch_format="pyarrow"), rm_ds),
+            ["gh"], flag)
 
-        def tag_flag(t: pa.Table) -> pa.Table:
-            return pa.table({"doc_id": t.column("doc_id"),
-                             "cid": t.column("cid"),
-                             "text": pa.array([None] * t.num_rows,
-                                              pa.large_string())})
-
-        def tag_doc(t: pa.Table) -> pa.Table:
-            return pa.table({"doc_id": t.column("doc_id"),
-                             "cid": pa.array(
-                                 np.full(t.num_rows, -1, np.int64)),
-                             "text": pc.cast(t.column("text"),
-                                             pa.large_string())})
-
-        u = flags.map_batches(tag_flag, batch_format="pyarrow").union(
-            ds.map_batches(tag_doc, batch_format="pyarrow"))
-
-        def rewrite(g: pd.DataFrame) -> pd.DataFrame:
-            docs_df = g[g["cid"] == -1]
-            fl = g[g["cid"] != -1]
+        def rewrite(fl: pd.DataFrame, docs_df: pd.DataFrame) -> pd.DataFrame:
             b = pa.table({
                 "doc_id": pa.array(
                     docs_df["doc_id"].to_numpy(np.int64)),
                 "text": pa.array(docs_df["text"].tolist(),
                                  pa.large_string())})
-            d, s, _gh = chunks_of(b)
+            d, s, _gh = _doc_chunk_hashes(b)
             docs = np.unique(d)
             cid = _run_ordinal(d)
             rm_keys = set(zip(fl["doc_id"].tolist(), fl["cid"].tolist()))
             if rm_keys:
                 key = pd.MultiIndex.from_arrays([d, cid])
-                keep = ~key.isin(rm_keys)
-                keep = np.asarray(keep)
+                keep = np.asarray(~key.isin(rm_keys))
             else:
                 keep = np.ones(len(d), bool)
             return rebuild(d, s, keep, docs)
 
-        return bucketed_apply(u, ["doc_id"], rewrite)
-
-    rm = rm_ds.to_pandas()
-    o_gh = _col_or_empty(rm, "gh")
-    o_owner = rm.set_index("gh").loc[o_gh, "owner"].to_numpy(np.int64) \
-        if len(o_gh) else np.empty(0, np.int64)
-    ref = ray.put((o_gh, o_owner))
+        return bucketed_apply((flags, ds), ["doc_id"], rewrite)
 
     def probe(b: pa.Table) -> pa.Table:
-        g_set, g_owner = ray.get(ref)
-        d, s, gh = chunks_of(b)
+        d, s, gh = _doc_chunk_hashes(b)
         if not len(d):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "clean_text": pa.array([], pa.large_string()),
                              "n_kept": pa.array([], pa.int64()),
                              "n_removed": pa.array([], pa.int64())})
-        if len(g_set):
-            j = np.searchsorted(g_set, gh)
-            j[j >= len(g_set)] = len(g_set) - 1
-            hit = g_set[j] == gh
-            keep = ~hit | (g_owner[j] == d)
-        else:
-            keep = np.ones(len(d), bool)
+        hit, (owner,) = rm.lookup(gh, "owner")
+        keep = ~hit | (owner == d)
         docs = np.unique(d)
         out = rebuild(d, s, keep, docs)
         return pa.Table.from_pandas(out, preserve_index=False).cast(
@@ -1617,105 +1453,111 @@ ORACLES["winnow_pairs"] = sql_winnow_pairs()
 SPAN_MIN_RUN = 3   # dup-window run length that triggers removal
 
 
-def q_span_rewrite(sf_dir: str, broadcast_max: int | None = None):
+def q_span_rewrite(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """(doc_id, clean_text, n_words, n_removed): documents with every
     >= SPAN_MIN_RUN-window duplicated run excised (all copies).
     clean_text is NULL when the whole doc was covered.  Pass 1 = the
     dup_spans duplicated-hash set (broadcast, materialized once);
     pass 2 = per-batch run detection + interval paint + rejoin.
     Above ``broadcast_max`` the dup set instead meets window
-    occurrences in a gh-bucketed exchange (dup_spans' position-
-    carrying shape) and the (doc, pos) flags meet the documents in a
-    doc_id bucket where the paint + rewrite run — the dup set never
-    collects to the driver."""
+    occurrences in a gh cogroup (dup_spans' position-carrying shape)
+    and the (doc, pos) flags meet the documents in a doc_id cogroup
+    where the paint + rewrite run — the dup set never collects to the
+    driver."""
     import ray
 
-    from ..stages.shuffle import bucketed_apply, grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = DUP_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    def pairs(b: pa.Table) -> pa.Table:
-        _row, gh = _doc_gram_hashes(b)
-        df = pd.DataFrame({"r": _row, "gh": gh}).drop_duplicates()
-        return pa.table({"gh": pa.array(df["gh"].to_numpy(np.int64)),
-                         "one": pa.array(np.ones(len(df), np.int64))})
-
     counts = grouped_agg(
-        ds.map_batches(pairs, batch_format="pyarrow"),
+        ds.map_batches(_gram_doc_pairs, batch_format="pyarrow"),
         ["gh"], {"n_docs": ("one", "sum")})
     dup_ds = counts.filter(expr="n_docs >= 2").select_columns(
         ["gh"]).materialize()
+    dup = broadcast_table(dup_ds, "gh", broadcast_max)
 
-    if dup_ds.count() > broadcast_max:
-        return _span_rewrite_bucketed(ds, dup_ds)
+    if dup is None:
+        # scale path: (doc, pos) flags through a gh cogroup, then the
+        # paint + rewrite per doc_id bucket
+        flags = bucketed_apply(
+            (ds.map_batches(_gram_occurrences, batch_format="pyarrow"),
+             dup_ds), ["gh"], _dup_positions)
 
-    dup = dup_ds.to_pandas()
-    dup_ref = ray.put(_col_or_empty(dup, "gh"))
+        def rewrite(fl: pd.DataFrame, docs: pd.DataFrame) -> pd.DataFrame:
+            docs = docs.sort_values("doc_id", kind="stable")
+            doc_ids = docs["doc_id"].to_numpy(np.int64)
+            fl = fl.sort_values(["doc_id", "pos"], kind="stable")
+            fd = fl["doc_id"].to_numpy(np.int64)
+            fp = fl["pos"].to_numpy(np.int64)
+            # runs over sorted (doc, pos): consecutive positions
+            starts = np.ones(len(fd), bool)
+            starts[1:] = (fd[1:] != fd[:-1]) | (fp[1:] != fp[:-1] + 1)
+            run_len = np.bincount(np.cumsum(starts) - 1,
+                                  minlength=int(starts.sum()))
+            return _excise(docs["text"].tolist(), doc_ids,
+                           np.searchsorted(doc_ids, fd[starts]),
+                           fp[starts], run_len)
+
+        return bucketed_apply((flags, ds), ["doc_id"], rewrite)
 
     def rewrite(b: pa.Table) -> pa.Table:
-        dset = ray.get(dup_ref)
-        texts = b.column("text").to_pylist()
-        doc_ids = b.column("doc_id").to_numpy().astype(np.int64)
-        nb = len(texts)
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "clean_text": pa.array([], pa.large_string()),
-                          "n_words": pa.array([], pa.int64()),
-                          "n_removed": pa.array([], pa.int64())})
-        if nb == 0:
-            return empty
-        # global word stream (doc word counts; per-doc offsets)
-        t = pd.Series(texts)
-        nw = (t.str.count(" ") + 1).to_numpy(np.int64)
-        w_off = np.concatenate([[0], np.cumsum(nw)[:-1]])
-        total_w = int(nw.sum())
-        removed = np.zeros(total_w + 1, np.int64)  # delta array
         row, pos, gh = _doc_gram_hashes_pos(b)
-        if len(row):
-            if len(dset):
-                j = np.searchsorted(dset, gh)
-                j[j >= len(dset)] = len(dset) - 1
-                isdup = dset[j] == gh
-            else:
-                isdup = np.zeros(len(gh), bool)
-            prev_same = np.concatenate(
-                [[False], isdup[:-1] & (row[1:] == row[:-1])])
-            starts = isdup & ~prev_same
-            n_runs = int(starts.sum())
-            if n_runs:
-                run_id = np.cumsum(starts) - 1
-                run_len = np.bincount(run_id[isdup], minlength=n_runs)
-                r_row = row[starts]
-                r_pos = pos[starts]
-                keep_m = run_len >= SPAN_MIN_RUN
-                # covered words: [p0, p0 + len + W - 2] (1-based)
-                g0 = w_off[r_row[keep_m]] + r_pos[keep_m] - 1
-                g1 = g0 + run_len[keep_m] + NGRAM_W - 1
-                np.add.at(removed, g0, 1)
-                np.add.at(removed, g1, -1)
-        covered = np.cumsum(removed[:-1]) > 0
-        words = np.asarray(" ".join(texts).split(" "), dtype=object)
-        wdoc = np.repeat(np.arange(nb, dtype=np.int64), nw)
-        kept_txt = (pd.Series(words[~covered])
-                    .groupby(wdoc[~covered]).agg(" ".join))
-        n_rm = np.bincount(wdoc[covered], minlength=nb).astype(np.int64)
-        out = pd.DataFrame({"doc_id": doc_ids, "n_words": nw,
-                            "n_removed": n_rm})
-        out["clean_text"] = pd.Series(np.arange(nb)).map(kept_txt)
-        out["clean_text"] = out["clean_text"].astype(object).where(
-            out["clean_text"].notna(), None)
-        return pa.Table.from_pandas(
-            out[["doc_id", "clean_text", "n_words", "n_removed"]],
-            preserve_index=False).cast(pa.schema(
-                [("doc_id", pa.int64()),
-                 ("clean_text", pa.large_string()),
-                 ("n_words", pa.int64()),
-                 ("n_removed", pa.int64())]))
+        isdup, _ = dup.lookup(gh)
+        # a run starts at a dup window not continuing one in its row
+        starts = isdup.copy()
+        starts[1:] &= ~(isdup[:-1] & (row[1:] == row[:-1]))
+        run_len = np.bincount((np.cumsum(starts) - 1)[isdup],
+                              minlength=int(starts.sum()))
+        out = _excise(b.column("text").to_pylist(),
+                      b.column("doc_id").to_numpy().astype(np.int64),
+                      row[starts], pos[starts], run_len)
+        return pa.Table.from_pandas(out, preserve_index=False).cast(
+            pa.schema([("doc_id", pa.int64()),
+                       ("clean_text", pa.large_string()),
+                       ("n_words", pa.int64()),
+                       ("n_removed", pa.int64())]))
 
     return ds.map_batches(rewrite, batch_format="pyarrow")
+
+
+def _excise(texts: list, doc_ids: np.ndarray, r_row: np.ndarray,
+            r_pos: np.ndarray, run_len: np.ndarray) -> pd.DataFrame:
+    """(doc_id, clean_text, n_words, n_removed) for the docs ``texts``
+    after removing every word a run of >= SPAN_MIN_RUN duplicated
+    windows covers; run i starts at window ``r_pos[i]`` (1-based) of
+    doc ``r_row[i]`` and spans ``run_len[i]`` windows."""
+    nb = len(texts)
+    if nb == 0:
+        return pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
+                             "clean_text": pd.Series(dtype=object),
+                             "n_words": pd.Series(dtype=np.int64),
+                             "n_removed": pd.Series(dtype=np.int64)})
+    # global word stream (doc word counts; per-doc offsets)
+    nw = (pd.Series(texts).str.count(" ") + 1).to_numpy(np.int64)
+    w_off = np.concatenate([[0], np.cumsum(nw)[:-1]])
+    removed = np.zeros(int(nw.sum()) + 1, np.int64)  # delta array
+    keep_m = run_len >= SPAN_MIN_RUN
+    # covered words: [p0, p0 + len + W - 2] (1-based)
+    g0 = w_off[r_row[keep_m]] + r_pos[keep_m] - 1
+    np.add.at(removed, g0, 1)
+    np.add.at(removed, g0 + run_len[keep_m] + NGRAM_W - 1, -1)
+    covered = np.cumsum(removed[:-1]) > 0
+    words = np.asarray(" ".join(texts).split(" "), dtype=object)
+    wdoc = np.repeat(np.arange(nb, dtype=np.int64), nw)
+    kept_txt = (pd.Series(words[~covered])
+                .groupby(wdoc[~covered]).agg(" ".join))
+    out = pd.DataFrame({
+        "doc_id": doc_ids, "n_words": nw,
+        "n_removed": np.bincount(wdoc[covered],
+                                 minlength=nb).astype(np.int64)})
+    out["clean_text"] = pd.Series(np.arange(nb)).map(kept_txt)
+    out["clean_text"] = out["clean_text"].astype(object).where(
+        out["clean_text"].notna(), None)
+    return out[["doc_id", "clean_text", "n_words", "n_removed"]]
 
 
 def sql_span_rewrite() -> str:
@@ -1755,106 +1597,3 @@ def sql_span_rewrite() -> str:
 
 QUERIES["span_rewrite"] = q_span_rewrite
 ORACLES["span_rewrite"] = sql_span_rewrite()
-
-
-def _span_rewrite_bucketed(ds, dup_ds):
-    """span_rewrite scale path: dup hashes meet window occurrences per
-    gh bucket (flags only), flags meet documents per doc_id bucket
-    where the run detection + paint + rewrite run locally."""
-    from ..stages.shuffle import bucketed_apply
-
-    def occ(b: pa.Table) -> pa.Table:
-        row, pos, gh = _doc_gram_hashes_pos(b)
-        doc = b.column("doc_id").to_numpy()[row].astype(np.int64) \
-            if len(row) else np.empty(0, np.int64)
-        return pa.table({"doc_id": pa.array(doc),
-                         "pos": pa.array(pos),
-                         "gh": pa.array(gh)})
-
-    def tag_set(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-             "pos": pa.array(np.zeros(t.num_rows, np.int64)),
-             "gh": t.column("gh")})
-
-    both = ds.map_batches(occ, batch_format="pyarrow").union(
-        dup_ds.map_batches(tag_set, batch_format="pyarrow"))
-
-    def hit(g: pd.DataFrame) -> pd.DataFrame:
-        mem = g.loc[g["doc_id"] == -1, "gh"]
-        o = g[g["doc_id"] != -1]
-        o = o[o["gh"].isin(mem)]
-        return pd.DataFrame({"doc_id": o["doc_id"].to_numpy(np.int64),
-                             "pos": o["pos"].to_numpy(np.int64)})
-
-    flags = bucketed_apply(both, ["gh"], hit)
-
-    def tag_flag(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "pos": t.column("pos"),
-                         "text": pa.array([None] * t.num_rows,
-                                          pa.large_string())})
-
-    def tag_doc(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "pos": pa.array(
-                             np.full(t.num_rows, -1, np.int64)),
-                         "text": pc.cast(t.column("text"),
-                                         pa.large_string())})
-
-    u = flags.map_batches(tag_flag, batch_format="pyarrow").union(
-        ds.map_batches(tag_doc, batch_format="pyarrow"))
-
-    def rewrite(g: pd.DataFrame) -> pd.DataFrame:
-        docs_df = g[g["pos"] == -1]
-        fl = g[g["pos"] != -1].sort_values(["doc_id", "pos"],
-                                           kind="stable")
-        texts = docs_df["text"].tolist()
-        doc_ids = docs_df["doc_id"].to_numpy(np.int64)
-        nb = len(texts)
-        if nb == 0:
-            return pd.DataFrame({
-                "doc_id": pd.Series(dtype=np.int64),
-                "clean_text": pd.Series(dtype=object),
-                "n_words": pd.Series(dtype=np.int64),
-                "n_removed": pd.Series(dtype=np.int64)})
-        order = np.argsort(doc_ids, kind="stable")
-        doc_ids = doc_ids[order]
-        texts = [texts[i] for i in order]
-        t = pd.Series(texts)
-        nw = (t.str.count(" ") + 1).to_numpy(np.int64)
-        w_off = np.concatenate([[0], np.cumsum(nw)[:-1]])
-        total_w = int(nw.sum())
-        removed = np.zeros(total_w + 1, np.int64)
-        fd = fl["doc_id"].to_numpy(np.int64)
-        fp = fl["pos"].to_numpy(np.int64)
-        if len(fd):
-            # runs over sorted (doc, pos): consecutive positions
-            prev_same = np.concatenate(
-                [[False], (fd[1:] == fd[:-1]) & (fp[1:] == fp[:-1] + 1)])
-            starts = ~prev_same
-            run_id = np.cumsum(starts) - 1
-            n_runs = int(starts.sum())
-            run_len = np.bincount(run_id, minlength=n_runs)
-            r_doc = fd[starts]
-            r_pos = fp[starts]
-            keep_m = run_len >= SPAN_MIN_RUN
-            bi = np.searchsorted(doc_ids, r_doc[keep_m])
-            g0 = w_off[bi] + r_pos[keep_m] - 1
-            g1 = g0 + run_len[keep_m] + NGRAM_W - 1
-            np.add.at(removed, g0, 1)
-            np.add.at(removed, g1, -1)
-        covered = np.cumsum(removed[:-1]) > 0
-        words = np.asarray(" ".join(texts).split(" "), dtype=object)
-        wdoc = np.repeat(np.arange(nb, dtype=np.int64), nw)
-        kept_txt = (pd.Series(words[~covered])
-                    .groupby(wdoc[~covered]).agg(" ".join))
-        n_rm = np.bincount(wdoc[covered], minlength=nb).astype(np.int64)
-        out = pd.DataFrame({"doc_id": doc_ids, "n_words": nw,
-                            "n_removed": n_rm})
-        out["clean_text"] = pd.Series(np.arange(nb)).map(kept_txt)
-        out["clean_text"] = out["clean_text"].astype(object).where(
-            out["clean_text"].notna(), None)
-        return out[["doc_id", "clean_text", "n_words", "n_removed"]]
-
-    return bucketed_apply(u, ["doc_id"], rewrite)

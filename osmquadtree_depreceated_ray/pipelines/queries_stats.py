@@ -41,6 +41,7 @@ import numpy as np
 import pandas as pd  # noqa: F401  (kept for parity with sibling modules)
 import pyarrow as pa
 
+from ..functions.lookup import sorted_lookup
 from ..stages.exchange import remote
 
 # --------------------------------------------------------------- quantiles
@@ -260,11 +261,7 @@ def q_bloom_semijoin(sf_dir: str):
         idx = np.flatnonzero(mask)
         if len(idx) == 0 or len(keys) == 0:
             return empty
-        sub = k[idx]
-        j = np.searchsorted(keys, sub)
-        j[j >= len(keys)] = len(keys) - 1
-        mask2 = keys[j] == sub
-        keep = idx[mask2]
+        keep = idx[sorted_lookup(keys, k[idx])[0]]
         t = b.take(pa.array(keep, pa.int64()))
         qty = t.column("l_quantity").to_numpy(zero_copy_only=False)
         df = (pd.DataFrame({"l_returnflag": t.column("l_returnflag")

@@ -7,6 +7,11 @@ unit goldens instead).
 Hash choices are md5 hex strings so Python (hashlib) and DuckDB (md5())
 produce identical values; all ratios are returned as exact integer
 numerators/denominators or exactly-divided doubles.
+
+``lm_score`` and ``dsir_weights`` join every bigram occurrence with a
+corpus count table: broadcast (``stages.shuffle.broadcast_table``) up to
+the single cap ``stages.shuffle.BROADCAST_MAX`` rows, a cogroup
+(``bucketed_apply`` over two inputs) above it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..stages.shuffle import BROADCAST_MAX
 
 N_HASHES = 8
 N_BANDS = 4  # bands of 2 hashes each
@@ -628,10 +635,6 @@ def sql_simhash() -> str:
 # free unique text; the downstream filter thresholds exactly like a
 # perplexity cut.
 
-LM_BROADCAST_MAX = 2_000_000  # above this bigram-vocabulary size the
-# count table is no longer broadcast — scoring becomes a bucketed join
-# (same contract as TFIDF_BROADCAST_MAX)
-
 
 def _doc_bigram_stream(b: pa.Table):
     """(doc_id_per_bigram, bigram_string) in document order."""
@@ -643,78 +646,59 @@ def _doc_bigram_stream(b: pa.Table):
     return doc_id[row].astype(np.int64), big.to_numpy()
 
 
-def q_lm_score(sf_dir: str, broadcast_max: int | None = None):
+def _bigram_hashes(b: pa.Table):
+    """(doc_id_per_bigram, md5-low64 bigram hash) in document order."""
+    d, g = _doc_bigram_stream(b)
+    codes, uniq = pd.factorize(pd.Series(g), sort=False)
+    return d, _md5_lower64(uniq).view(np.int64)[codes]
+
+
+def _bigram_occurrences(b: pa.Table) -> pa.Table:
+    """(doc_id, gh, mult): each doc's distinct bigram hashes with their
+    multiplicity — the probe side of the lm_score / dsir_weights
+    cogroup."""
+    d, gh = _bigram_hashes(b)
+    per = (pd.DataFrame({"doc_id": d, "gh": gh})
+           .groupby(["doc_id", "gh"], sort=False).size()
+           .reset_index(name="mult"))
+    return pa.table({"doc_id": pa.array(per["doc_id"].to_numpy(np.int64)),
+                     "gh": pa.array(per["gh"].to_numpy(np.int64)),
+                     "mult": pa.array(per["mult"].to_numpy(np.int64))})
+
+
+def q_lm_score(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Per-doc corpus-bigram familiarity: (doc_id, n_big, sum_freq,
     n_rare, familiarity).  Pass 1 builds the corpus bigram-count table
-    with one map-side-combined exchange; pass 2 broadcasts it as
-    parallel sorted (hash, count) int64 arrays (~16 B/bigram,
-    searchsorted probe — no dict, no per-row Python) and scores each
-    batch vectorized.  Above ``broadcast_max`` the table never leaves
-    the object store: scoring runs as a bucketed hash-join plus a
-    per-doc partial-sum exchange."""
+    with one map-side-combined exchange; pass 2 broadcasts it as a
+    sorted (hash, count) table (~16 B/bigram, binary-search probe — no
+    dict, no per-row Python) and scores each batch vectorized.  Above
+    ``broadcast_max`` the table never leaves the object store: scoring
+    runs as a cogroup hash-join plus a per-doc partial-sum exchange."""
     import ray
 
-    from ..stages.shuffle import bucketed_apply, grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = LM_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def partials(b: pa.Table) -> pa.Table:
-        _d, g = _doc_bigram_stream(b)
-        if not len(g):
-            return pa.table({"gh": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        codes, uniq = pd.factorize(pd.Series(g), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes]
-        h, n = np.unique(gh, return_counts=True)
-        return pa.table({"gh": pa.array(h),
+        h, n = np.unique(_bigram_hashes(b)[1], return_counts=True)
+        return pa.table({"gh": pa.array(h, pa.int64()),
                          "n": pa.array(n.astype(np.int64))})
 
     cnt_ds = grouped_agg(
         ds.map_batches(partials, batch_format="pyarrow"),
         ["gh"], {"c": ("n", "sum")}
     ).materialize()  # count() + consume = ONE pass-1 execution
+    cnt = broadcast_table(cnt_ds, "gh", broadcast_max)
 
-    if cnt_ds.count() > broadcast_max:
-        # scale path: (doc, bigram, multiplicity) rows co-locate with
-        # the count rows per hash bucket, partials re-bucket per doc
-        def occ(b: pa.Table) -> pa.Table:
-            d, g = _doc_bigram_stream(b)
-            if not len(g):
-                return pa.table({"doc_id": pa.array([], pa.int64()),
-                                 "gh": pa.array([], pa.int64()),
-                                 "mult": pa.array([], pa.int64())})
-            codes, uniq = pd.factorize(pd.Series(g), sort=False)
-            gh = _md5_lower64(uniq).view(np.int64)[codes]
-            per = (pd.DataFrame({"doc_id": d, "gh": gh})
-                   .groupby(["doc_id", "gh"], sort=False).size()
-                   .reset_index(name="mult"))
-            per["mult"] = per["mult"].astype(np.int64)
-            return pa.Table.from_pandas(per, preserve_index=False)
-
-        def tag_cnt(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            return pa.table(
-                {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-                 "gh": t.column("gh"),
-                 "mult": pc.cast(t.column("c"), pa.int64())})
-
-        both = ds.map_batches(occ, batch_format="pyarrow").union(
-            cnt_ds.map_batches(tag_cnt, batch_format="pyarrow"))
-
-        def join_cnt(g: pd.DataFrame) -> pd.DataFrame:
-            cnts = g[g["doc_id"] == -1]
-            o = g[g["doc_id"] != -1]
-            if o.empty:
-                return pd.DataFrame(
-                    {"doc_id": pd.Series(dtype=np.int64),
-                     "n_big": pd.Series(dtype=np.int64),
-                     "sum_freq": pd.Series(dtype=np.int64),
-                     "n_rare": pd.Series(dtype=np.int64)})
-            lut = pd.Series(cnts["mult"].to_numpy(),
+    if cnt is None:
+        # scale path: (doc, bigram, multiplicity) rows meet the count
+        # rows per hash bucket, partials re-bucket per doc
+        def join_cnt(o: pd.DataFrame, cnts: pd.DataFrame) -> pd.DataFrame:
+            lut = pd.Series(cnts["c"].to_numpy(),
                             index=cnts["gh"].to_numpy())
             c = o["gh"].map(lut).to_numpy(np.int64)
             m = o["mult"].to_numpy(np.int64)
@@ -725,7 +709,9 @@ def q_lm_score(sf_dir: str, broadcast_max: int | None = None):
             out = per.groupby("doc_id", as_index=False, sort=False).sum()
             return out.astype(np.int64)
 
-        parts = bucketed_apply(both, ["gh"], join_cnt)
+        parts = bucketed_apply(
+            (ds.map_batches(_bigram_occurrences, batch_format="pyarrow"),
+             cnt_ds), ["gh"], join_cnt)
 
         def fin(g: pd.DataFrame) -> pd.DataFrame:
             out = g.groupby("doc_id", as_index=False, sort=False).sum()
@@ -737,27 +723,16 @@ def q_lm_score(sf_dir: str, broadcast_max: int | None = None):
 
         return bucketed_apply(parts, ["doc_id"], fin)
 
-    cnt = cnt_ds.to_pandas()
-    gh_arr = cnt["gh"].to_numpy().astype(np.int64)
-    c_arr = cnt["c"].to_numpy().astype(np.int64)
-    order = np.argsort(gh_arr, kind="stable")
-    gh_ref = ray.put(gh_arr[order])
-    c_ref = ray.put(c_arr[order])
-
     def probe(b: pa.Table) -> pa.Table:
-        ghs, cs = ray.get(gh_ref), ray.get(c_ref)
-        d, g = _doc_bigram_stream(b)
-        if not len(g):
+        d, gh = _bigram_hashes(b)
+        if not len(gh):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "n_big": pa.array([], pa.int64()),
                              "sum_freq": pa.array([], pa.int64()),
                              "n_rare": pa.array([], pa.int64()),
                              "familiarity": pa.array([], pa.float64())})
-        codes, uniq = pd.factorize(pd.Series(g), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes]
-        j = np.searchsorted(ghs, gh)
         # every bigram is in the corpus table by construction
-        c = cs[j]
+        _, (c,) = cnt.lookup(gh, "c")
         docs = np.unique(d)
         idx = np.searchsorted(docs, d)
         n_big = np.bincount(idx, minlength=len(docs)).astype(np.int64)
@@ -834,7 +809,7 @@ ORACLES = {
 DSIR_TARGET_LANG = "en"
 
 
-def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
+def q_dsir_weights(sf_dir: str, broadcast_max: int = BROADCAST_MAX):
     """Per-doc DSIR importance weight: (doc_id, n_big, t_freq, c_freq,
     w) with t_freq / c_freq = the doc's bigram-occurrence mass under
     the target-slice / whole-corpus count tables and
@@ -842,25 +817,20 @@ def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
 
     ONE pass builds both count tables (the target sum is a masked
     second aggregate of the same exchange rows, not a second scan);
-    the probe broadcasts parallel sorted int64 arrays (searchsorted,
-    ~24 B/bigram) under the same size contract as ``lm_score`` —
-    above it, reuse that query's bucketed-join shape."""
+    the probe broadcasts them as one sorted (hash, c_all, c_tgt) table
+    (~24 B/bigram) under the same cap as ``lm_score`` — above it,
+    that query's cogroup-join shape."""
     import ray
 
-    from ..stages.shuffle import grouped_agg
-
-    if broadcast_max is None:
-        broadcast_max = LM_BROADCAST_MAX
+    from ..stages.shuffle import (
+        broadcast_table, bucketed_apply, grouped_agg,
+    )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
 
     def partials(b: pa.Table) -> pa.Table:
-        d, g = _doc_bigram_stream(b)
-        if not len(g):
-            return pa.table({"gh": pa.array([], pa.int64()),
-                             "n_all": pa.array([], pa.int64()),
-                             "n_tgt": pa.array([], pa.int64())})
+        d, gh = _bigram_hashes(b)
         lang = b.column("lang").to_numpy()
         doc_ids = b.column("doc_id").to_numpy()
         # map each bigram's doc id back to its batch row (ids unique
@@ -868,13 +838,11 @@ def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
         o = np.argsort(doc_ids, kind="stable")
         pos = o[np.searchsorted(doc_ids[o], d)]
         is_tgt = (lang == DSIR_TARGET_LANG)[pos]
-        codes, uniq = pd.factorize(pd.Series(g), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes]
         hs, inv = np.unique(gh, return_inverse=True)
         n_all = np.bincount(inv, minlength=len(hs)).astype(np.int64)
         n_tgt = np.bincount(inv, weights=is_tgt.astype(np.float64),
                             minlength=len(hs)).astype(np.int64)
-        return pa.table({"gh": pa.array(hs),
+        return pa.table({"gh": pa.array(hs, pa.int64()),
                          "n_all": pa.array(n_all),
                          "n_tgt": pa.array(n_tgt)})
 
@@ -882,56 +850,17 @@ def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
         ds.map_batches(partials, batch_format="pyarrow"),
         ["gh"], {"c_all": ("n_all", "sum"), "c_tgt": ("n_tgt", "sum")},
     ).materialize()  # count() + consume = ONE pass-1 execution
+    cnt = broadcast_table(cnt_ds, "gh", broadcast_max)
 
-    if cnt_ds.count() > broadcast_max:
-        # scale path (lm_score's bucketed-join shape): the count table
-        # never leaves the object store — (doc, gh, mult) occurrence
-        # rows co-locate with the (gh, c_all, c_tgt) count rows per
-        # hash bucket, partials re-bucket per doc
-        from ..stages.shuffle import bucketed_apply
-
-        def occ(b: pa.Table) -> pa.Table:
-            d, g = _doc_bigram_stream(b)
-            if not len(g):
-                return pa.table({"doc_id": pa.array([], pa.int64()),
-                                 "gh": pa.array([], pa.int64()),
-                                 "mult": pa.array([], pa.int64()),
-                                 "tgt": pa.array([], pa.int64())})
-            codes, uniq = pd.factorize(pd.Series(g), sort=False)
-            gh = _md5_lower64(uniq).view(np.int64)[codes]
-            per = (pd.DataFrame({"doc_id": d, "gh": gh})
-                   .groupby(["doc_id", "gh"], sort=False).size()
-                   .reset_index(name="mult"))
-            per["mult"] = per["mult"].astype(np.int64)
-            per["tgt"] = np.int64(0)
-            return pa.Table.from_pandas(per, preserve_index=False)
-
-        def tag_cnt(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            return pa.table(
-                {"doc_id": pa.array(np.full(t.num_rows, -1, np.int64)),
-                 "gh": t.column("gh"),
-                 "mult": pc.cast(t.column("c_all"), pa.int64()),
-                 "tgt": pc.cast(t.column("c_tgt"), pa.int64())})
-
-        both = ds.map_batches(occ, batch_format="pyarrow").union(
-            cnt_ds.map_batches(tag_cnt, batch_format="pyarrow"))
-
-        def join_cnt(g: pd.DataFrame) -> pd.DataFrame:
-            cnts = g[g["doc_id"] == -1]
-            o = g[g["doc_id"] != -1]
-            if o.empty:
-                return pd.DataFrame(
-                    {"doc_id": pd.Series(dtype=np.int64),
-                     "n_big": pd.Series(dtype=np.int64),
-                     "t_freq": pd.Series(dtype=np.int64),
-                     "c_freq": pd.Series(dtype=np.int64)})
-            lut_all = pd.Series(cnts["mult"].to_numpy(),
-                                index=cnts["gh"].to_numpy())
-            lut_tgt = pd.Series(cnts["tgt"].to_numpy(),
-                                index=cnts["gh"].to_numpy())
-            ca = o["gh"].map(lut_all).to_numpy(np.int64)
-            ct = o["gh"].map(lut_tgt).to_numpy(np.int64)
+    if cnt is None:
+        # scale path (lm_score's cogroup shape): the count table never
+        # leaves the object store — (doc, gh, mult) occurrence rows meet
+        # the (gh, c_all, c_tgt) count rows per hash bucket, partials
+        # re-bucket per doc
+        def join_cnt(o: pd.DataFrame, cnts: pd.DataFrame) -> pd.DataFrame:
+            lut = cnts.set_index("gh")
+            ca = o["gh"].map(lut["c_all"]).to_numpy(np.int64)
+            ct = o["gh"].map(lut["c_tgt"]).to_numpy(np.int64)
             m = o["mult"].to_numpy(np.int64)
             per = pd.DataFrame(
                 {"doc_id": o["doc_id"].to_numpy(np.int64),
@@ -939,7 +868,9 @@ def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
             return per.groupby(
                 "doc_id", as_index=False, sort=False).sum().astype(np.int64)
 
-        parts = bucketed_apply(both, ["gh"], join_cnt)
+        parts = bucketed_apply(
+            (ds.map_batches(_bigram_occurrences, batch_format="pyarrow"),
+             cnt_ds), ["gh"], join_cnt)
 
         def fin(g: pd.DataFrame) -> pd.DataFrame:
             out = (g.groupby("doc_id", as_index=False, sort=False)
@@ -952,27 +883,16 @@ def q_dsir_weights(sf_dir: str, broadcast_max: int | None = None):
 
         return bucketed_apply(parts, ["doc_id"], fin)
 
-    cnt = cnt_ds.to_pandas()
-    gh_arr = cnt["gh"].to_numpy().astype(np.int64)
-    order = np.argsort(gh_arr, kind="stable")
-    gh_ref = ray.put(gh_arr[order])
-    ca_ref = ray.put(cnt["c_all"].to_numpy().astype(np.int64)[order])
-    ct_ref = ray.put(cnt["c_tgt"].to_numpy().astype(np.int64)[order])
-
     def probe(b: pa.Table) -> pa.Table:
-        ghs = ray.get(gh_ref)
-        cas, cts = ray.get(ca_ref), ray.get(ct_ref)
-        d, g = _doc_bigram_stream(b)
-        if not len(g):
+        d, gh = _bigram_hashes(b)
+        if not len(gh):
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "n_big": pa.array([], pa.int64()),
                              "t_freq": pa.array([], pa.int64()),
                              "c_freq": pa.array([], pa.int64()),
                              "w": pa.array([], pa.float64())})
-        codes, uniq = pd.factorize(pd.Series(g), sort=False)
-        gh = _md5_lower64(uniq).view(np.int64)[codes]
-        j = np.searchsorted(ghs, gh)
-        ca, ct = cas[j], cts[j]  # every gram present by construction
+        # every gram present by construction
+        _, (ca, ct) = cnt.lookup(gh, "c_all", "c_tgt")
         docs = np.unique(d)
         idx = np.searchsorted(docs, d)
         n_big = np.bincount(idx, minlength=len(docs)).astype(np.int64)

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import geom as G
+from ..functions.lookup import sorted_lookup
 from ..functions.quadtree import qt_bounds
 from ..state import manifest as mf
 
@@ -147,11 +148,7 @@ def complete_ways_closure(
     """O9: id-closure semi-joins.  Returns dict with sorted id arrays
     (nodes, ways, relations) and the trimmed relation member table."""
     def _isin_sorted(vals: np.ndarray, sorted_ids: np.ndarray) -> np.ndarray:
-        if not len(sorted_ids):
-            return np.zeros(len(vals), bool)
-        pos = np.clip(np.searchsorted(sorted_ids, vals), 0,
-                      len(sorted_ids) - 1)
-        return sorted_ids[pos] == vals
+        return sorted_lookup(sorted_ids, vals)[0]
 
     eid = entities.column("entity_id").to_numpy()
     lon = entities.column("lon").to_numpy()
@@ -199,21 +196,13 @@ def complete_ways_closure(
 
 def filter_entities_ds(entities_ds, id_set: np.ndarray):
     """Map-side semi-join: keep rows whose entity_id is in the broadcast
-    sorted id array."""
-    import ray
+    sorted id set."""
+    from ..stages.shuffle import BroadcastTable
 
-    ref = ray.put(np.sort(np.asarray(id_set, np.int64)))
+    ids = BroadcastTable(np.asarray(id_set, np.int64), {})
 
-    class SemiJoin:
-        def __init__(self):
-            self.ids = ray.get(ref)
+    def semi_join(b: pa.Table) -> pa.Table:
+        found, _ = ids.lookup(b.column("entity_id").to_numpy())
+        return b.filter(pa.array(found))
 
-        def __call__(self, b: pa.Table) -> pa.Table:
-            e = b.column("entity_id").to_numpy()
-            pos = np.searchsorted(self.ids, e)
-            pos_c = np.clip(pos, 0, max(len(self.ids) - 1, 0))
-            hit = (pos < len(self.ids)) & (self.ids[pos_c] == e)
-            return b.filter(pa.array(hit))
-
-    return entities_ds.map_batches(SemiJoin, batch_format="pyarrow",
-                                   concurrency=(1, 4))
+    return entities_ds.map_batches(semi_join, batch_format="pyarrow")

@@ -3625,10 +3625,11 @@ def _set_op(ds_a, ds_b, cols: list, op: str):
 RECURSIVE_MAX_ROUNDS = 100
 
 
-def _rename_positional(ds, names: list):
+def _rename_positional(ds, names: list, cur: "list | None" = None):
     """Rename a Dataset's columns to ``names`` positionally (CTE column
-    list / set-op alignment)."""
-    cur = ds.schema().names
+    list / set-op alignment); ``cur`` is the current names when known
+    symbolically."""
+    cur = list(cur) if cur is not None else ds.schema().names
     if len(cur) != len(names):
         raise ValueError(
             f"CTE column list has {len(names)} names, query produces "
@@ -3810,6 +3811,9 @@ def parse_sql(sql: str, tables: dict,
     the per-round frontiers, so the accumulated rows are never
     collected.  Bounded by ``RECURSIVE_MAX_ROUNDS``."""
     p = _Parser(_tokenize(sql))
+    # each CTE's symbolic output names: joins over a CTE plan without
+    # probing its (derived, costly) schema
+    table_names: dict = {}
     if p.accept("kw", "with"):
         recursive = bool(p.accept("kw", "recursive"))
         tables = dict(tables)
@@ -3825,21 +3829,39 @@ def parse_sql(sql: str, tables: dict,
             p.expect("op", "(")
             sub = p.parse_query(nested=True)
             p.expect("op", ")")
+            names = None
             if recursive and _ast_references(sub, name):
                 tables[name] = _exec_recursive_cte(
                     name, colnames, sub, tables, broadcast_threshold)
             else:
-                ds = _exec_ast(sub, tables, broadcast_threshold)
+                ds, names = _plan_ast(sub, tables, broadcast_threshold,
+                                      table_names)
                 if colnames:
-                    ds = _rename_positional(ds, colnames)
+                    ds = _rename_positional(ds, colnames, names)
+                    names = list(colnames)
                 tables[name] = ds
+            table_names.pop(name, None)
+            if names is not None:
+                table_names[name] = names
             if not p.accept("op", ","):
                 break
-    ast = p.parse_query()
-    return _exec_ast(ast, tables, broadcast_threshold)
+    return _exec_ast(p.parse_query(), tables, broadcast_threshold,
+                     table_names)
 
 
-def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
+def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000,
+              table_names: "dict | None" = None):
+    """Plan ``ast`` over ``tables`` into a Dataset (see ``_plan_ast``)."""
+    return _plan_ast(ast, tables, broadcast_threshold, table_names)[0]
+
+
+def _plan_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000,
+              table_names: "dict | None" = None):
+    """Plan ``ast`` over ``tables``: ``(ds, names)``, ``names`` the
+    output column names when known symbolically, else None.
+    ``table_names`` maps a table name (a CTE) to its symbolic output
+    names, so planning never probes that derived pipeline's schema."""
+    table_names = table_names or {}
     runs = []
     # symbolic output names per run (None = unknown, probe lazily):
     # avoids ds.schema() fetches that execute derived pipeline prefixes
@@ -3847,7 +3869,8 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
     for sel in ast["selects"]:
         from_names: "list[str] | None" = None
         if isinstance(sel["table"], tuple) and sel["table"][0] == "derived":
-            ds = _exec_ast(sel["table"][1], tables, broadcast_threshold)
+            ds, from_names = _plan_ast(sel["table"][1], tables,
+                                       broadcast_threshold, table_names)
         elif isinstance(sel["table"], tuple) and sel["table"][0] == "values":
             import ray
 
@@ -3865,9 +3888,11 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
             ds = ray.data.from_arrow(pa.table(cols))
         else:
             ds = tables[sel["table"]]
+            from_names = table_names.get(sel["table"])
 
-        def _outer_names(_ds=ds, _sel=sel):
-            out = set(_ds.schema().names)
+        def _outer_names(_ds=ds, _sel=sel, _names=from_names):
+            out = set(_names if _names is not None
+                      else _ds.schema().names)
             for jt, *_rest in (_sel["join"] or []):
                 if isinstance(jt, str):
                     out |= set(tables[jt].schema().names)
@@ -3931,8 +3956,10 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
                         _jt, lc, rc, _hw = jentry
                         needed.add(lc)
                         needed.add(rc)
-                ds = ds.select_columns(
-                    [c for c in ds.schema().names if c in needed])
+                if from_names is None:
+                    from_names = list(ds.schema().names)
+                from_names = [c for c in from_names if c in needed]
+                ds = ds.select_columns(from_names)
             for join_idx, jentry in enumerate(joins):
                 theta_resid = None
                 if len(jentry) == 5:
@@ -3951,6 +3978,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
                                and jt[0] == "lateral")
                 inline_rhs = not isinstance(jt, str)
                 lat_hidden: list = []
+                r_order = None
                 if lateral_rhs:
                     rhs, lcols, rcols, lat_hidden = _exec_lateral(
                         jt[1], tables, broadcast_threshold)
@@ -3960,15 +3988,20 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
                         # own key's subquery rows)
                         how = "inner"
                 elif derived_rhs:
-                    rhs = _exec_ast(jt[1], tables, broadcast_threshold)
+                    rhs, r_order = _plan_ast(jt[1], tables,
+                                             broadcast_threshold,
+                                             table_names)
                 else:
                     rhs = jt if inline_rhs else tables[jt]
+                    if not inline_rhs:
+                        r_order = table_names.get(jt)
                 # side resolution by schema when an unqualified pair was
                 # written join-side-first (ON g = k with g only in rhs)
                 l_list = (from_names if from_names is not None
                           else list(ds.schema().names))
                 l_have = set(l_list)
-                r_order = list(rhs.schema().names)
+                if r_order is None:
+                    r_order = list(rhs.schema().names)
                 r_have = set(r_order)
                 if lateral_rhs:
                     missing = [c for c in lcols if c not in l_have]
@@ -4013,7 +4046,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
                             "to a distinct name first")
                 if needed is not None and not lateral_rhs:
                     rhs = rhs.select_columns(
-                        [c for c in rhs.schema().names if c in needed])
+                        [c for c in r_order if c in needed])
                 # predicate pushdown: WHERE conjuncts whose columns live
                 # entirely on one side filter BEFORE the join (fewer
                 # rows enter the exchange / probe); the residual runs
@@ -4021,8 +4054,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
                 # chain, a later null-preserving join can resurface rows
                 # a pushed filter would have removed.
                 if sel["where"] is not None and len(joins) == 1:
-                    l_names = set(ds.schema().names)
-                    r_names = set(rhs.schema().names)
+                    l_names, r_names = l_have, r_have
                     l_conjs, r_conjs, residual = [], [], []
                     for conj in _split_conjuncts(sel["where"]):
                         cc: set = set()
@@ -4251,7 +4283,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
     if ds_names is None:
         # fully-void result (schema lost over an empty stream):
         # ORDER BY / LIMIT over an empty relation are no-ops
-        return ds
+        return ds, None
     if ast["order"]:
         sort_cols, descs, synth = [], [], []
         nulls_spec = ast.get("nulls") or [None] * len(ast["order"])
@@ -4320,6 +4352,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
             c for c in ds_names if c.startswith("__ob_")]
         if drop:
             ds = ds.drop_columns(drop)
+            ds_names = [c for c in ds_names if c not in drop]
     if ast["limit"] is not None:
         off = ast.get("offset") or 0
         if off:
@@ -4332,7 +4365,7 @@ def _exec_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000):
             tbl = pa.concat_tables(
                 _ray.get(ds.limit(ast["limit"] + off).to_arrow_refs()),
                 promote_options="default")
-            return _ray.data.from_arrow(
-                tbl.slice(off, ast["limit"]))
-        ds = ds.limit(ast["limit"])
-    return ds
+            ds = _ray.data.from_arrow(tbl.slice(off, ast["limit"]))
+        else:
+            ds = ds.limit(ast["limit"])
+    return ds, ds_names

@@ -21,6 +21,13 @@ aggregation runs at C speed.  Buckets are the unit of parallelism —
 size ``n_buckets`` >= cluster cores for full width; skewed keys can be
 salted (``salted_agg``).
 
+A tuple of Datasets makes a cogroup: each input is split on its own
+(own schema, no marker or padding columns) and each reduce gets one
+frame per input.  That is the above-cap half of the engine's one
+lookup-join rule; below ``BROADCAST_MAX`` rows, ``broadcast_table``
+ships the table sorted to every map task instead, probed with
+``functions.lookup.sorted_lookup``.
+
 Contract for ``fn``: it must group by the key columns itself
 (vectorized), must not depend on bucket boundaries beyond key
 co-location, and must accept an EMPTY correctly-typed DataFrame
@@ -37,7 +44,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .exchange import block_groups, exchange, route
+from .exchange import block_groups, gather, route, scatter
 
 
 def default_buckets(floor: int = 8, cap: int = 4096) -> int:
@@ -106,16 +113,31 @@ def _split_impl(keys, n_buckets, combine, *blocks):
     return route(_stable_bucket(df, list(keys), n_buckets), n_buckets, block)
 
 
-def _reduce_impl(fn, *pieces):
-    live = [p for p in pieces if p.num_columns]
-    if not live:
+def _cogroup_impl(fn, sizes, *pieces):
+    """One bucket: ``sizes[i]`` consecutive pieces belong to input
+    ``i``, and ``fn`` gets one frame per input."""
+    frames, start = [], 0
+    for k in sizes:
+        live = [p for p in pieces[start:start + k] if p.num_columns]
+        start += k
+        frames.append(
+            pa.concat_tables(live, promote_options="default").to_pandas()
+            if live else None)
+    untyped = [i for i, f in enumerate(frames) if f is None]
+    if len(untyped) == len(frames):
         # every split task saw only schema-less empty blocks: the
         # keyed input is empty, and fn's contract (a frame carrying
         # the key columns) cannot be met — a keyed aggregate/apply
         # over an empty relation is empty
         return pa.table({}), 0
-    tbl = pa.concat_tables(live, promote_options="default")
-    out = fn(tbl.to_pandas())
+    if untyped:
+        # a split task routes every typed block to every bucket, so an
+        # input without typed pieces here has no typed block anywhere:
+        # its columns are unknown and fn cannot read them
+        raise ValueError(
+            f"cogroup input {untyped[0]} has no block carrying "
+            "its columns; give an empty input its schema")
+    out = fn(*frames)
     if not isinstance(out, pa.Table):
         # strip the pandas schema metadata: it would round-trip
         # extension dtypes (Int64) back out of to_pandas(), making
@@ -131,7 +153,7 @@ def _reduce_impl(fn, *pieces):
 def bucketed_apply(
     ds,
     keys: list[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
+    fn: Callable[..., pd.DataFrame],
     n_buckets: int | None = None,
     combine: Callable[[pd.DataFrame], pd.DataFrame] | None = None,
 ):
@@ -141,23 +163,36 @@ def bucketed_apply(
     inside each split task before the exchange (must be safe on partial
     per-key data, e.g. a partial aggregation).  ``n_buckets`` defaults
     to the cluster-derived :func:`default_buckets`.  Returns a Dataset
-    of the concatenated results."""
+    of the concatenated results.
+
+    ``ds`` may be a tuple of Datasets that all carry ``keys``: a
+    cogroup.  Each input is split on its own, keeping its own schema,
+    and one reduce per bucket calls ``fn(frame_1, ..., frame_k)`` with
+    that bucket's rows of every input.  Every input must carry its
+    columns, an empty one too (a zero-row block with its schema): a
+    reduce raises ValueError when one input has no such block and
+    another has.  ``combine`` is single-input only."""
     if n_buckets is None:
         n_buckets = default_buckets()
 
     import ray
     import ray.data
 
+    inputs = ds if isinstance(ds, tuple) else (ds,)
+    assert combine is None or len(inputs) == 1, \
+        "combine is single-input only"
     # bound the exchange's object count at ~n_tasks x n_buckets: group
-    # input blocks so there are about n_buckets split tasks
-    groups = block_groups(ds, n_buckets)
-    if not groups:
-        # empty input: run fn driver-side on an empty typed frame
-        return ds.map_batches(
+    # each input's blocks so there are about n_buckets split tasks
+    groups = [block_groups(d, n_buckets) for d in inputs]
+    if groups == [[]]:
+        # empty single input: run fn driver-side on an empty typed frame
+        return inputs[0].map_batches(
             lambda df: fn(df), batch_format="pandas", batch_size=None)
-    outs = exchange(_split_impl, [(tuple(keys), n_buckets, combine, *g)
-                                  for g in groups],
-                    _reduce_impl, [(fn,)] * n_buckets, n_buckets, returns=2)
+    pieces = [p for g in groups for p in scatter(
+        _split_impl, [(tuple(keys), n_buckets, combine, *b) for b in g],
+        n_buckets)[1]]
+    outs = gather(_cogroup_impl, [(fn, tuple(map(len, groups)))]
+                  * n_buckets, pieces, returns=2)
     counts = ray.get([c for _, c in outs])
     keep = [t for (t, _), c in zip(outs, counts) if c > 0]
     if not keep:
@@ -287,3 +322,60 @@ def distinct(ds, keys: list[str], n_buckets: int | None = None):
         return _restore(g.drop_duplicates())
 
     return bucketed_apply(ds, keys, dd, n_buckets, combine=pre)
+
+
+# ------------------------------------------------- broadcast-or-cogroup join
+
+# rows above which a lookup table stays distributed: the caller
+# cogroups it with the probe side instead of broadcasting it
+BROADCAST_MAX = 2_000_000
+
+
+class BroadcastTable:
+    """A key-sorted table in the object store, probed inside map tasks
+    (pickles as an object ref, so a closure can carry it)."""
+
+    def __init__(self, keys: np.ndarray, values: dict):
+        import ray
+
+        order = np.argsort(keys, kind="stable")
+        self._ref = ray.put((keys[order],
+                             {c: v[order] for c, v in values.items()}))
+
+    def lookup(self, keys, *columns):
+        """``(found, [values of each named column])`` for each probe
+        key; a value is 0 where its key is not found."""
+        import ray
+
+        from ..functions.lookup import sorted_lookup
+
+        skeys, vals = ray.get(self._ref)
+        found, idx = sorted_lookup(skeys, keys)
+        if not len(skeys):
+            return found, [np.zeros(len(found), np.int64) for _ in columns]
+        return found, [np.where(found, vals[c][idx], 0) for c in columns]
+
+
+def broadcast_table(table_ds, key: str, cap: int = BROADCAST_MAX,
+                    key_fn: Callable | None = None):
+    """Materialize and count ``table_ds`` once; above ``cap`` rows
+    return None (the caller cogroups it instead, so pass a materialized
+    Dataset when that path reads it again), else a
+    :class:`BroadcastTable` keyed on ``key``, or on ``key_fn`` of the
+    key column's values (e.g. a hash, so the broadcast copy holds no
+    strings)."""
+    import ray
+
+    table_ds = table_ds.materialize()
+    if table_ds.count() > cap:
+        return None
+    blocks = [b for b in ray.get(table_ds.to_arrow_refs())
+              if key in b.column_names]
+    if not blocks:
+        # an empty relation can lose its schema: all misses
+        return BroadcastTable(np.empty(0, np.int64), {})
+    t = pa.concat_tables(blocks, promote_options="default")
+    keys = t.column(key).to_numpy(zero_copy_only=False)
+    return BroadcastTable(
+        keys if key_fn is None else key_fn(keys),
+        {c: t.column(c).to_numpy() for c in t.column_names if c != key})

@@ -149,21 +149,11 @@ def test_tfidf_top(ray_session, docs):
     )
     assert (got.groupby("doc_id").size() <= TFIDF_TOP).all()
 
-    # scale path: vocabulary above the broadcast threshold routes
-    # through the bucketed word-join — identical output
-    got2 = q_tfidf_top(SF, broadcast_max=0).to_pandas()
-    got2_s = got2.sort_values(["doc_id", "word"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got2_s[["doc_id", "word", "tf", "df_docs", "score"]].astype(
-            {"tf": np.int64, "df_docs": np.int64}),
-        exp_s[["doc_id", "word", "tf", "df_docs", "score"]].astype(
-            {"tf": np.int64, "df_docs": np.int64}),
-    )
 
 
 def test_lm_score_vs_counter(ray_session, docs):
     """lm_score against a plain-Python recomputation (Counter over all
-    corpus bigrams), plus bucketed-fallback parity."""
+    corpus bigrams)."""
     from collections import Counter
 
     from osmquadtree_depreceated_ray.pipelines.queries_text import (
@@ -194,27 +184,6 @@ def test_lm_score_vs_counter(ray_session, docs):
     pd.testing.assert_frame_equal(
         got.astype({"n_big": np.int64}), exp.astype({"n_big": np.int64}))
 
-    got2 = (q_lm_score(SF, broadcast_max=0).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        got[sorted(got.columns)], got2[sorted(got2.columns)])
-
-
-def test_dsir_weights_fallback_matches_broadcast(ray_session):
-    """Forcing broadcast_max=0 routes dsir_weights through the bucketed
-    count-table join; results must equal the broadcast-probe path."""
-    from osmquadtree_depreceated_ray.pipelines.queries_text import (
-        q_dsir_weights,
-    )
-
-    a = (q_dsir_weights(SF).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (q_dsir_weights(SF, broadcast_max=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        a[sorted(a.columns)], b[sorted(b.columns)].astype(
-            {c: a[c].dtype for c in a.columns}))
-    assert ((a["w"] > 0) & (a["w"] <= 1.0)).all()
 
 
 def test_outliers_mad_vs_pandas(ray_session, docs):

@@ -120,27 +120,6 @@ def test_doc_chunks_empty_tokens_preserved():
     assert list(zip(d.tolist(), s.tolist())) == exp
 
 
-def test_bucketed_fallback_matches_broadcast(ray_session):
-    """Forcing broadcast_max=0 routes chunk_dedup / decontaminate
-    through the bucketed semi-count exchange; results must be identical
-    to the broadcast searchsorted path."""
-    from osmquadtree_depreceated_ray.pipelines.queries_pack import (
-        q_chunk_dedup,
-        q_decontaminate,
-    )
-
-    from osmquadtree_depreceated_ray.pipelines.queries_pack import (
-        q_dup_spans,
-    )
-
-    for fn in (q_chunk_dedup, q_decontaminate, q_dup_spans):
-        a = (fn(SF).to_pandas().sort_values("doc_id")
-             .reset_index(drop=True))
-        b = (fn(SF, broadcast_max=0).to_pandas().sort_values("doc_id")
-             .reset_index(drop=True))
-        pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
-
-
 def test_run_stats_kernel():
     """_run_stats: longest consecutive True run per contiguous row
     group, against a tiny hand-computed case incl. runs that touch the
@@ -422,18 +401,6 @@ def test_dedup_rewrite_vs_pandas(ray_session, docs):
     assert ga.tolist() == ea.tolist()
 
 
-def test_dedup_rewrite_fallback_matches_broadcast(ray_session):
-    from osmquadtree_depreceated_ray.pipelines.queries_pack import (
-        q_dedup_rewrite,
-    )
-
-    a = (q_dedup_rewrite(SF).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (q_dedup_rewrite(SF, broadcast_max=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    assert a.equals(b[a.columns])
-
-
 def test_winnow_pairs_vs_brute(ray_session, docs):
     from osmquadtree_depreceated_ray.pipelines.queries_pack import (
         WINNOW_MAX_DF,
@@ -522,18 +489,6 @@ def test_span_rewrite_vs_brute(ray_session, docs):
     assert got["n_removed"].sum() > 0
 
 
-def test_span_rewrite_fallback_matches_broadcast(ray_session):
-    from osmquadtree_depreceated_ray.pipelines.queries_pack import (
-        q_span_rewrite,
-    )
-
-    a = (q_span_rewrite(SF).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (q_span_rewrite(SF, broadcast_max=0).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    assert a.equals(b[a.columns])
-
-
 def test_doc_gram_scan_matches_string_path():
     """The byte-slice gram hasher must equal the string-materializing
     reference (_doc_ngrams_pos + _md5_lower64) for every edge case:
@@ -576,3 +531,46 @@ def test_doc_gram_scan_matches_string_path():
     assert len(r2) == 8 + 9  # 10 and 11 words (empty words count)
     wc = _doc_word_counts(pa.table({"text": pa.array(texts)}))
     assert wc.tolist() == [len(t.split(" ")) for t in texts]
+
+
+@pytest.mark.parametrize("module,name", [
+    ("queries_pack", "chunk_dedup"),
+    ("queries_pack", "decontaminate"),
+    ("queries_pack", "dup_spans"),
+    ("queries_pack", "dedup_rewrite"),
+    ("queries_pack", "span_rewrite"),
+    ("queries_text", "lm_score"),
+    ("queries_text", "dsir_weights"),
+    ("queries_curate", "tfidf_top"),
+])
+def test_forced_cogroup_matches_broadcast(ray_session, monkeypatch,
+                                          module, name):
+    """broadcast_max=0 sends the lookup table through the cogroup path
+    (a tuple-input bucketed_apply) and the default run broadcasts it
+    (no tuple input); both return the identical frame, column order and
+    dtypes included."""
+    import importlib
+
+    from osmquadtree_depreceated_ray.stages import shuffle
+
+    fn = getattr(importlib.import_module(
+        f"osmquadtree_depreceated_ray.pipelines.{module}"), f"q_{name}")
+    cogroups = []
+    real = shuffle.bucketed_apply
+
+    def spy(ds, *args, **kwargs):
+        cogroups.append(isinstance(ds, tuple))
+        return real(ds, *args, **kwargs)
+
+    monkeypatch.setattr(shuffle, "bucketed_apply", spy)
+    key = ["doc_id", "word"] if name == "tfidf_top" else ["doc_id"]
+    a = fn(SF).to_pandas().sort_values(key).reset_index(drop=True)
+    assert cogroups and not any(cogroups)
+    del cogroups[:]
+    b = (fn(SF, broadcast_max=0).to_pandas().sort_values(key)
+         .reset_index(drop=True))
+    assert cogroups.count(True) >= 1
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a, b)
+    if name == "dsir_weights":
+        assert ((a["w"] > 0) & (a["w"] <= 1.0)).all()

@@ -1056,6 +1056,50 @@ def test_cte_does_not_mutate_table_map(ray_session, t1):
     assert set(tabs) == {"t1"}
 
 
+def test_cte_join_plans_without_derived_schema_probes(ray_session,
+                                                     monkeypatch):
+    """Planning a grouped CTE joined to a table (the shape of the
+    benchmark's ``cte`` query) asks no derived pipeline for its schema:
+    each such probe is a Ray execution.  Every ``Dataset.schema`` call
+    lands on a source table, and the rows still equal DuckDB's."""
+    import sys
+
+    import ray
+    from ray.data import Dataset
+
+    rng = np.random.default_rng(3)
+    n = 2000
+    tabs = {
+        "entities": pa.table({
+            "entity_id": pa.array(np.arange(n, dtype=np.int64)),
+            "tile_id": pa.array(rng.integers(0, 64, n).astype(np.int64)),
+            "lat": pa.array(rng.integers(-900, 900, n).astype(np.int64))}),
+        "tiles": pa.table({
+            "tile_id": pa.array(np.arange(64, dtype=np.int64)),
+            "zone": pa.array([f"Z{t % 12:02d}" for t in range(64)])}),
+    }
+    sql = ("WITH per_tile AS (SELECT tile_id, COUNT(*) AS n, "
+           "MAX(lat) AS top FROM entities GROUP BY tile_id) "
+           "SELECT t.zone, CAST(SUM(c.n) AS BIGINT) AS n, "
+           "MAX(c.top) AS top FROM per_tile c JOIN tiles t "
+           "ON c.tile_id = t.tile_id GROUP BY t.zone")
+    probed = []
+    real = Dataset.schema
+
+    def schema(self, *args, **kwargs):
+        # the planner's own calls (Ray's collect of a broadcast build
+        # side asks for schemas internally, after executing it)
+        if sys._getframe(1).f_code.co_filename.endswith("sqlparse.py"):
+            probed.append(type(self._logical_plan.dag).__name__)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "schema", schema)
+    parse_sql(sql, {k: ray.data.from_arrow(v) for k, v in tabs.items()})
+    monkeypatch.undo()
+    assert probed and set(probed) == {"FromArrow"}, probed
+    _run_both(sql, None, tabs)
+
+
 def test_lag_default_preserves_genuine_nulls(ray_session):
     """LAG/LEAD default fills ONLY out-of-window rows; a genuinely NULL
     lagged value stays NULL (SQL semantics, vs fillna which conflates
