@@ -64,10 +64,6 @@ def multipolygon_wkb(polys, srid: int | None = None) -> bytes:
     return b"".join(out)
 
 
-def geojson_geometry(geom_type: str, coords) -> dict:
-    return {"type": geom_type, "coordinates": coords}
-
-
 def feature_geojson(geom_type: int, rings_or_coords, tags: dict,
                     feature_id: int) -> str:
     """One GeoJSON feature line (reference geojson.go:29-178 writes

@@ -17,9 +17,9 @@
 Ray-Data shape — every join is a bucketed hash shuffle over keyed rows
 (stages/shuffle.py), so each stage holds only its bucket:
 
-* J2/J5 + M6-M8: union(vertex rows, way-tag rows, admin-donation rows)
-  keyed by way_id -> per-bucket assembly into way-geometry rows
-* A3/J4: union(node rows, parent-way fan-out rows) keyed by entity_id
+* J2/J5 + M6-M8: cogroup(vertex rows, way-tag rows, admin-donation
+  rows) keyed by way_id -> per-bucket assembly into way-geometry rows
+* A3/J4: cogroup(node rows, parent-way fan-out rows) keyed by entity_id
   -> per-bucket Common-qt fold + parent-highway reduction
 * J6: way-geometry fan-out to parent relations keyed by rel_id ->
   per-bucket finishRel; tag-absorption marks flow back to ways through
@@ -67,56 +67,18 @@ def _node_tags_row(kind: str, name: str, entity_id: int) -> dict:
     return tags
 
 
-def _align(t: pa.Table, cols: dict[str, pa.DataType]) -> pa.Table:
-    arrays = []
-    for name, typ in cols.items():
-        if name in t.column_names:
-            arrays.append(t.column(name).cast(typ))
-        elif pa.types.is_integer(typ):
-            # -1 sentinel, NOT null: an int64 column carrying a null
-            # becomes float64 in the exchange's per-bucket pandas
-            # frames, silently rounding 63-bit qt/id payloads to the
-            # 2^53 float mantissa (it zeroed the depth bits of parent
-            # qts, caught by the parent_tags oracle).  Consumers subset
-            # rows by 'kind' before reading side-specific columns, so
-            # the sentinel is never observed.
-            arrays.append(
-                pa.array(np.full(t.num_rows, -1, np.int64)).cast(typ))
-        else:
-            arrays.append(pa.nulls(t.num_rows, typ))
-    return pa.table(dict(zip(cols.keys(), arrays)))
-
-
 def build_way_vertices(entities_ds, refs_ds):
     """J2 phase 1: (entity_id, way_id, pos) x (entity_id, lon, lat) ->
-    vertex rows, via one bucketed hash join on entity_id."""
-    cols = {
-        "entity_id": pa.int64(),
-        "way_id": pa.int64(),
-        "pos": pa.int64(),
-        "lon": pa.int64(),
-        "lat": pa.int64(),
-        "side": pa.string(),
-    }
+    vertex rows, via one bucketed cogroup on entity_id."""
 
-    def tag_side(side):
-        def fn(b: pa.Table) -> pa.Table:
-            t = b.append_column("side", pa.array([side] * b.num_rows))
-            return _align(t, cols)
-
-        return fn
-
-    both = refs_ds.map_batches(tag_side("ref"), batch_format="pyarrow").union(
-        entities_ds.map_batches(tag_side("node"), batch_format="pyarrow")
-    )
-
-    def join_coords(g: pd.DataFrame) -> pd.DataFrame:
-        nodes = g[g["side"] == "node"][["entity_id", "lon", "lat"]]
-        rr = g[g["side"] == "ref"][["entity_id", "way_id", "pos"]]
-        m = rr.merge(nodes, on="entity_id", how="inner")
+    def join_coords(refs: pd.DataFrame, nodes: pd.DataFrame) -> pd.DataFrame:
+        m = refs.merge(nodes, on="entity_id", how="inner")
         return m[["way_id", "pos", "entity_id", "lon", "lat"]]
 
-    return bucketed_apply(both, ["entity_id"], join_coords)
+    return bucketed_apply(
+        (refs_ds.select_columns(["entity_id", "way_id", "pos"]),
+         entities_ds.select_columns(["entity_id", "lon", "lat"])),
+        ["entity_id"], join_coords)
 
 
 _WAY_GEOM_SCHEMA = pa.schema([
@@ -128,8 +90,8 @@ _WAY_GEOM_SCHEMA = pa.schema([
 
 
 def _way_assembly_fn(style):
-    """Per-bucket way assembly: vertex rows + tag rows + admin-donation
-    rows (all keyed way_id) -> way geometry rows (M6-M8 + A2).
+    """Per-bucket way assembly: vertex, tag and admin-donation frames
+    (all keyed way_id) -> way geometry rows (M6-M8 + A2).
 
     Vectorized: group boundaries via numpy on the (way_id, pos)-sorted
     vertex arrays, bbox via ``reduceat``, ONE batched ``calculate`` over
@@ -138,8 +100,9 @@ def _way_assembly_fn(style):
     per-way TAG logic (dict ops + the polygon decision) remains a loop —
     it is inherently per-feature (makegeometries.go:139-189)."""
 
-    def assemble(g: pd.DataFrame) -> pa.Table:
-        verts = g[g["kind"] == "vert"].sort_values(["way_id", "pos"])
+    def assemble(verts: pd.DataFrame, tr: pd.DataFrame,
+                 ar: pd.DataFrame) -> pa.Table:
+        verts = verts.sort_values(["way_id", "pos"])
         n = len(verts)
         if n == 0:
             return _WAY_GEOM_SCHEMA.empty_table()
@@ -158,10 +121,8 @@ def _way_assembly_fn(style):
         )
         closed = (ends - starts >= 3) & (refs[starts] == refs[ends - 1])
 
-        tr = g[g["kind"] == "tags"]
         tags_map = dict(zip(tr["way_id"].to_numpy(np.int64),
                             tr["tags_json"].tolist()))
-        ar = g[g["kind"] == "admin"]
         admin_map = (ar.groupby("way_id")["a_val"].agg(list).to_dict()
                      if len(ar) else {})
 
@@ -226,6 +187,15 @@ def route_list(tags: dict, key: str, values: list[str]) -> bool:
     return True
 
 
+def member_qt_parts(wq: pd.DataFrame, idx: pd.DataFrame) -> pd.DataFrame:
+    """A4 per bucket: way qts (way_id, qt) x way->relation index
+    (way_id, rel_id) -> per-relation (rel_id, qmin, qmax) partials for
+    :func:`relation_qt_fold`."""
+    m = idx.merge(wq, on="way_id", how="inner")
+    return m.groupby("rel_id", as_index=False).agg(
+        qmin=("qt", "min"), qmax=("qt", "max"))
+
+
 def relation_qt_fold(rel_ids, rel_qt_parts: pd.DataFrame,
                      rel_rel_edges: list[tuple[int, int]],
                      rounds: int = 5) -> dict[int, int]:
@@ -270,12 +240,11 @@ def relation_qt_fold(rel_ids, rel_qt_parts: pd.DataFrame,
 
 
 def _node_join_fn(style, point_qt_buffer=0.05):
-    """Per-bucket A3/J4: node rows + parent-way fan-out rows keyed
+    """Per-bucket A3/J4: node frame (entity_id, lon, lat, kind, name) +
+    parent-way fan-out frame (entity_id, p_qt, p_depth, p_hw), keyed
     entity_id -> node feature rows."""
 
-    def join(g: pd.DataFrame) -> pa.Table:
-        nodes = g[g["kind"] == "node"]
-        parents = g[g["kind"] == "parent"]
+    def join(nodes: pd.DataFrame, parents: pd.DataFrame) -> pa.Table:
         n = len(nodes)
         if n == 0:
             return pa.table({
@@ -317,8 +286,8 @@ def _node_join_fn(style, point_qt_buffer=0.05):
 
         # per-node TAG logic (dict ops) stays a loop; the numeric work
         # above is fully batched
-        kinds = nodes["n_kind"].tolist()
-        names = nodes["n_name"].tolist()
+        kinds = nodes["kind"].tolist()
+        names = nodes["name"].tolist()
         tags_out, feat_out = [], []
         for i in range(n):
             ei = int(e[i])
@@ -458,30 +427,10 @@ def build_geometries(fixture_dir: str, out_dir: str,
 
     # --- J2 + M6-M8: way geometries (two bucketed shuffles) ----------------
     verts = build_way_vertices(entities_ds, refs_ds)
-    way_cols = {
-        "way_id": pa.int64(), "pos": pa.int64(), "entity_id": pa.int64(),
-        "lon": pa.int64(), "lat": pa.int64(), "tags_json": pa.string(),
-        "a_val": pa.string(), "kind": pa.string(),
-    }
-
-    def kindify(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            return _align(
-                b.append_column("kind", pa.array([kind] * b.num_rows)), way_cols
-            )
-
-        return fn
-
-    way_inputs = (
-        verts.map_batches(kindify("vert"), batch_format="pyarrow")
-        .union(ray.data.from_pandas(way_tag_rows)
-               .map_batches(kindify("tags"), batch_format="pyarrow"))
-        .union(ray.data.from_pandas(admin_rows)
-               .map_batches(kindify("admin"), batch_format="pyarrow"))
-    )
     way_geoms = bucketed_apply(
-        way_inputs, ["way_id"], _way_assembly_fn(style)
-    ).materialize()
+        (verts, ray.data.from_pandas(way_tag_rows),
+         ray.data.from_pandas(admin_rows)),
+        ["way_id"], _way_assembly_fn(style)).materialize()
 
     # --- A3 + J4: nodes (bucketed join on entity_id) ------------------------
     def parent_fanout(b: pa.Table) -> pa.Table:
@@ -510,36 +459,11 @@ def build_geometries(fixture_dir: str, out_dir: str,
              "p_hw": pa.array(phw[rep], pa.string())}
         )
 
-    node_cols = {
-        "entity_id": pa.int64(), "lon": pa.int64(), "lat": pa.int64(),
-        "n_kind": pa.string(), "n_name": pa.string(),
-        "p_qt": pa.int64(), "p_depth": pa.int64(), "p_hw": pa.string(),
-        "kind": pa.string(),
-    }
-
-    def node_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "entity_id": b.column("entity_id"),
-                "lon": b.column("lon"),
-                "lat": b.column("lat"),
-                "n_kind": b.column("kind"),
-                "n_name": b.column("name"),
-            }
-        ).append_column("kind", pa.array(["node"] * b.num_rows))
-        return _align(t, node_cols)
-
-    def parent_rows(b: pa.Table) -> pa.Table:
-        return _align(
-            b.append_column("kind", pa.array(["parent"] * b.num_rows)), node_cols
-        )
-
-    node_inputs = entities_ds.map_batches(node_rows, batch_format="pyarrow").union(
-        way_geoms.map_batches(parent_fanout, batch_format="pyarrow")
-        .map_batches(parent_rows, batch_format="pyarrow")
-    )
-    node_geoms = bucketed_apply(node_inputs, ["entity_id"],
-                                _node_join_fn(style)).materialize()
+    nodes = entities_ds.select_columns(
+        ["entity_id", "lon", "lat", "kind", "name"])
+    node_geoms = bucketed_apply(
+        (nodes, way_geoms.map_batches(parent_fanout, batch_format="pyarrow")),
+        ["entity_id"], _node_join_fn(style)).materialize()
 
     # --- J6: relation assembly (bucketed joins, no broadcast state) ---------
     mp = rel_df[
@@ -589,55 +513,20 @@ def build_geometries(fixture_dir: str, out_dir: str,
         keep = _held_mask(b.column("way_id").to_numpy())
         return b.drop_columns(["qt"]).filter(pa.array(keep))
 
-    _GEOM_PAYLOAD = {
-        "geom_type": pa.int64(), "refs": pa.list_(pa.int64()),
-        "lons": pa.list_(pa.int64()), "lats": pa.list_(pa.int64()),
-        "tags": pa.string(), "z_order": pa.int64(), "area": pa.float64(),
-    }
-    pay_cols = {"way_id": pa.int64(), "rel_id": pa.int64(),
-                **_GEOM_PAYLOAD, "kind": pa.string()}
-    _GEOM_COL_NAMES = list(_GEOM_PAYLOAD)
-
-    def pay_kind(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            return _align(
-                b.append_column("kind", pa.array([kind] * b.num_rows)), pay_cols)
-
-        return fn
-
     held_payloads = way_geoms.map_batches(way_payloads, batch_format="pyarrow")
-    fan_in = held_payloads.map_batches(pay_kind("pay"), batch_format="pyarrow") \
-        .union(ray.data.from_pandas(w2r_rows)
-               .map_batches(pay_kind("w2r"), batch_format="pyarrow"))
 
-    def fan_join(g: pd.DataFrame) -> pd.DataFrame:
-        pays = g[g["kind"] == "pay"][["way_id"] + _GEOM_COL_NAMES]
-        idx = g[g["kind"] == "w2r"][["way_id", "rel_id"]]
+    def fan_join(pays: pd.DataFrame, idx: pd.DataFrame) -> pd.DataFrame:
         m = idx.merge(pays, on="way_id", how="inner")
-        return m[["rel_id", "way_id"] + _GEOM_COL_NAMES]
+        return m[["rel_id"] + list(pays.columns)]
 
     # NOTE: a way shared by several relations is fanned out to each; the
     # rel bucket sees its own copy (geometries are immutable rows here)
-    rel_stream = bucketed_apply(fan_in, ["way_id"], fan_join, n_buckets=8)
+    rel_stream = bucketed_apply(
+        (held_payloads, ray.data.from_pandas(w2r_rows)), ["way_id"],
+        fan_join, n_buckets=8)
 
-    rel_cols = {"rel_id": pa.int64(), "way_id": pa.int64(),
-                **_GEOM_PAYLOAD, "meta_json": pa.string(),
-                "kind": pa.string()}
-
-    def rel_kind(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            return _align(
-                b.append_column("kind", pa.array([kind] * b.num_rows)), rel_cols)
-
-        return fn
-
-    rel_in = rel_stream.map_batches(rel_kind("pay"), batch_format="pyarrow") \
-        .union(ray.data.from_pandas(meta_rows)
-               .map_batches(rel_kind("meta"), batch_format="pyarrow"))
-
-    def assemble_rels(g: pd.DataFrame) -> pd.DataFrame:
-        metas = g[g["kind"] == "meta"].set_index("rel_id")["meta_json"]
-        pays = g[g["kind"] == "pay"]
+    def assemble_rels(pays: pd.DataFrame, meta: pd.DataFrame) -> pd.DataFrame:
+        metas = meta.set_index("rel_id")["meta_json"]
         out = {"row_kind": [], "rel_id": [], "way_id": [], "removed_key": [],
                "feature": []}
         for rid, grp in pays.groupby("rel_id", sort=False):
@@ -687,8 +576,9 @@ def build_geometries(fixture_dir: str, out_dir: str,
                     out["feature"].append(False)
         return pd.DataFrame(out)
 
-    rel_results = bucketed_apply(rel_in, ["rel_id"], assemble_rels,
-                                 n_buckets=8).materialize()
+    rel_results = bucketed_apply(
+        (rel_stream, ray.data.from_pandas(meta_rows)), ["rel_id"],
+        assemble_rels, n_buckets=8).materialize()
 
     def rel_geom_features(b: pa.Table) -> pa.Table:
         kinds = b.column("row_kind").to_pylist()
@@ -710,24 +600,8 @@ def build_geometries(fixture_dir: str, out_dir: str,
 
     # released held ways: absorption marks join back by way_id (one more
     # bucketed stage), keep if still a feature
-    rel_cols2 = {"way_id": pa.int64(), **_GEOM_PAYLOAD,
-                 "removed_key": pa.string(), "kind": pa.string()}
-
-    def rel2_kind(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            return _align(
-                b.append_column("kind", pa.array([kind] * b.num_rows)), rel_cols2)
-
-        return fn
-
-    released_in = held_payloads.map_batches(rel2_kind("pay"),
-                                            batch_format="pyarrow").union(
-        rel_results.map_batches(removed_rows, batch_format="pyarrow")
-        .map_batches(rel2_kind("rm"), batch_format="pyarrow"))
-
-    def released_join(g: pd.DataFrame) -> pd.DataFrame:
-        pays = g[g["kind"] == "pay"]
-        marks = (g[g["kind"] == "rm"].groupby("way_id")["removed_key"]
+    def released_join(pays: pd.DataFrame, rm: pd.DataFrame) -> pd.DataFrame:
+        marks = (rm.groupby("way_id")["removed_key"]
                  .agg(lambda s: set(s)).to_dict())
         rows = []
         for t in pays.itertuples(index=False):
@@ -750,8 +624,14 @@ def build_geometries(fixture_dir: str, out_dir: str,
         df["wkb"] = df["wkb"].map(bytes)
         return df
 
-    released_feats = bucketed_apply(released_in, ["way_id"], released_join,
-                                    n_buckets=8)
+    # Ray maps a zero-row block to a schema-less one, and the cogroup
+    # needs the marks' columns: no relation rows, an empty typed input
+    marks = (rel_results.map_batches(removed_rows, batch_format="pyarrow")
+             if rel_results.count() else ray.data.from_arrow(pa.table({
+                 "way_id": pa.array([], pa.int64()),
+                 "removed_key": pa.array([], pa.string())})))
+    released_feats = bucketed_apply((held_payloads, marks), ["way_id"],
+                                    released_join, n_buckets=8)
 
     # --- A4: relation qt — distributed member-qt fold, tiny driver graph ---
     # the deepest common ancestor of a qt SET equals common(min, max) in
@@ -762,29 +642,10 @@ def build_geometries(fixture_dir: str, out_dir: str,
         "way_id": w2r_all["member_ref"].astype("int64").to_numpy(),
         "rel_id": w2r_all["rel_id"].astype("int64").to_numpy(),
     })
-    qt_cols = {"way_id": pa.int64(), "rel_id": pa.int64(), "qt": pa.int64(),
-               "kind": pa.string()}
-
-    def qt_kind(kind):
-        def fn(b: pa.Table) -> pa.Table:
-            return _align(
-                b.append_column("kind", pa.array([kind] * b.num_rows)), qt_cols)
-
-        return fn
-
-    qt_in = way_geoms.select_columns(["way_id", "qt"]).map_batches(
-        qt_kind("wq"), batch_format="pyarrow").union(
-        ray.data.from_pandas(w2r_all_rows)
-        .map_batches(qt_kind("w2r"), batch_format="pyarrow"))
-
-    def qt_join(g: pd.DataFrame) -> pd.DataFrame:
-        wq = g[g["kind"] == "wq"][["way_id", "qt"]]
-        idx = g[g["kind"] == "w2r"][["way_id", "rel_id"]]
-        m = idx.merge(wq, on="way_id", how="inner")
-        return m.groupby("rel_id", as_index=False).agg(
-            qmin=("qt", "min"), qmax=("qt", "max"))
-
-    rel_qt_parts = bucketed_apply(qt_in, ["way_id"], qt_join).to_pandas()
+    rel_qt_parts = bucketed_apply(
+        (way_geoms.select_columns(["way_id", "qt"]),
+         ray.data.from_pandas(w2r_all_rows)),
+        ["way_id"], member_qt_parts).to_pandas()
     rr_df = rel_df[rel_df["member_type"] == 2]
     rel_rel_edges = list(zip(rr_df["rel_id"].astype("int64").tolist(),
                              rr_df["member_ref"].astype("int64").tolist()))

@@ -1326,7 +1326,7 @@ def q_sql_join_multi(sf_dir: str):
     """Composite-key join + derived join RHS + theta residual through
     the SQL front-end: per-(user, event_type) argmax-by-value events
     annotated with the group count.  The two shared-name equalities
-    become one multi-key hash exchange (`_join_on` composite __jk*),
+    become one multi-key cogroup exchange (`_join_on` composite key),
     value = mx resolves by schema into a third key pair, and
     value > 10 runs as the post-join theta filter.  Oracle = the
     IDENTICAL string in DuckDB.  (Exceeds the reference grammar:

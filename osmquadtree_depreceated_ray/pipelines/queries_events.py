@@ -202,47 +202,24 @@ def q_change_apply(sf_dir: str):
         columns=["user_id", "event_type", "ts", "event_id", "value"],
     )
 
-    # fully distributed apply: tag change partials (src=1) and base rows
-    # (src=0) into one keyed stream, bucket by key, and resolve the
-    # lattice per bucket — no driver-side materialization, no broadcast
-    # (the reference's orig (+) change merge is a co-partitioned zip,
-    # update/update.go:343-738)
-    def tag_chg(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": b.column("key"),
-            "code": pa.compute.cast(b.column("code"), pa.int64()),
-            "new_c": b.column("new_c"),
-            "ts": pa.compute.cast(b.column("ts"), pa.int64()),
-            "event_id": b.column("event_id"),
-            "bal_c": pa.array(np.zeros(b.num_rows, np.int64)),
-            "src": pa.array(np.ones(b.num_rows, np.int64)),
-        })
-
-    def tag_base(b: pa.Table) -> pa.Table:
+    # fully distributed apply: cogroup change partials and base rows
+    # by key and resolve the lattice per bucket — no driver-side
+    # materialization, no broadcast (the reference's orig (+) change
+    # merge is a co-partitioned zip, update/update.go:343-738)
+    def base_rows(b: pa.Table) -> pa.Table:
         bal_c = np.floor(
             b.column("c_acctbal").to_numpy() * 100.0 + 0.5).astype(np.int64)
-        n = b.num_rows
-        return pa.table({
-            "key": b.column("c_custkey"),
-            "code": pa.array(np.zeros(n, np.int64)),
-            "new_c": pa.array(np.zeros(n, np.int64)),
-            "ts": pa.array(np.zeros(n, np.int64)),
-            "event_id": pa.array(np.zeros(n, np.int64)),
-            "bal_c": pa.array(bal_c),
-            "src": pa.array(np.zeros(n, np.int64)),
-        })
+        return pa.table({"key": b.column("c_custkey"),
+                         "bal_c": pa.array(bal_c)})
 
-    chg_tagged = events.map_batches(
-        chg_partial, batch_format="pyarrow").map_batches(
-        tag_chg, batch_format="pyarrow")
+    changes = events.map_batches(chg_partial, batch_format="pyarrow")
     base = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"]
-    ).map_batches(tag_base, batch_format="pyarrow")
+    ).map_batches(base_rows, batch_format="pyarrow")
 
-    def apply_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        chg = g[g["src"] == 1].sort_values(["ts", "event_id"])
+    def apply_bucket(chg: pd.DataFrame, basep: pd.DataFrame) -> pd.DataFrame:
+        chg = chg.sort_values(["ts", "event_id"])
         chg = chg.groupby("key", as_index=False).last()[["key", "code", "new_c"]]
-        basep = g[g["src"] == 0][["key", "bal_c"]]
         m = basep.merge(chg, on="key", how="left")
         code = m["code"].fillna(0).to_numpy()
         keep = code != 1  # Delete drops
@@ -263,7 +240,7 @@ def q_change_apply(sf_dir: str):
         })
         return pd.concat([out_base, out_cr], ignore_index=True)
 
-    return bucketed_apply(chg_tagged.union(base), ["key"], apply_bucket)
+    return bucketed_apply((changes, base), ["key"], apply_bucket)
 
 
 def q_asof_join(sf_dir: str):
@@ -390,29 +367,20 @@ def q_range_join(sf_dir: str):
             "hour": hour,
             "session_start": start.to_numpy()[idx],
             "session_end": end.to_numpy()[idx],
-            "kind": np.zeros(len(idx), np.int64),
-            "event_id": np.zeros(len(idx), np.int64),
-            "ts_us": np.zeros(len(idx), np.int64),
         })
 
     def errors(b: pa.Table) -> pa.Table:
         t = b.filter(pa.compute.equal(b.column("event_type"), "error"))
         ts_us = t.column("ts").cast(pa.timestamp("us")).cast(
             pa.int64()).to_numpy()
-        n = t.num_rows
         return pa.table({
             "user_id": t.column("user_id"),
             "hour": pa.array(ts_us // RANGE_HOUR_US),
-            "session_start": pa.array(np.zeros(n, np.int64)),
-            "session_end": pa.array(np.zeros(n, np.int64)),
-            "kind": pa.array(np.ones(n, np.int64)),
             "event_id": t.column("event_id"),
             "ts_us": pa.array(ts_us),
         })
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["kind"] == 0]
-        e = g[g["kind"] == 1]
+    def join_bucket(s: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if not len(s) or not len(e):
             return pd.DataFrame({
                 "user_id": pd.Series(dtype=np.int64),
@@ -421,9 +389,7 @@ def q_range_join(sf_dir: str):
                 "session_start": pd.Series(dtype=np.int64),
                 "session_end": pd.Series(dtype=np.int64),
             })
-        m = e[["user_id", "hour", "event_id", "ts_us"]].merge(
-            s[["user_id", "hour", "session_start", "session_end"]],
-            on=["user_id", "hour"])
+        m = e.merge(s, on=["user_id", "hour"])
         m = m[(m["ts_us"] >= m["session_start"])
               & (m["ts_us"] <= m["session_end"])]
         return m[["user_id", "event_id", "ts_us",
@@ -438,7 +404,7 @@ def q_range_join(sf_dir: str):
         ds.select_columns(["user_id", "ts", "event_id"]),
         ["user_id"], sessions_fanout)
     errs = ds.map_batches(errors, batch_format="pyarrow")
-    return bucketed_apply(sess.union(errs), ["user_id", "hour"], join_bucket)
+    return bucketed_apply((sess, errs), ["user_id", "hour"], join_bucket)
 
 
 def sql_range_join() -> str:

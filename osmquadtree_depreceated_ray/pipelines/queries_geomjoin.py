@@ -78,25 +78,17 @@ def q_parent_tags(sf_dir: str):
     from ..functions import tags_rings as TR
     from ..stages.shuffle import bucketed_apply
 
-    node_cols = {
-        "entity_id": pa.int64(), "lon": pa.int64(), "lat": pa.int64(),
-        "n_kind": pa.string(), "n_name": pa.string(),
-        "p_qt": pa.int64(), "p_depth": pa.int64(), "p_hw": pa.string(),
-        "kind": pa.string(),
-    }
     kinds3 = np.asarray(["poi", "city", "peak"], dtype=object)
 
     def node_rows(b: pa.Table) -> pa.Table:
         ck = b.column("c_custkey").to_numpy().astype(np.int64)
         lon, lat = derive.derive_lonlat(ck)
-        t = pa.table({
+        return pa.table({
             "entity_id": pa.array(ck),
             "lon": pa.array(lon), "lat": pa.array(lat),
-            "n_kind": pa.array(kinds3[ck % 3], pa.string()),
-            "n_name": b.column("c_name").cast(pa.string()),
-            "kind": pa.array(["node"] * len(ck)),
+            "kind": pa.array(kinds3[ck % 3], pa.string()),
+            "name": b.column("c_name").cast(pa.string()),
         })
-        return GM._align(t, node_cols)
 
     hw5 = np.asarray(_HW5, dtype=object)
 
@@ -104,23 +96,21 @@ def q_parent_tags(sf_dir: str):
         ok = b.column("o_orderkey").to_numpy().astype(np.int64)
         ck = b.column("o_custkey").to_numpy().astype(np.int64)
         qt = derive.expected_qt(ok)
-        t = pa.table({
+        return pa.table({
             "entity_id": pa.array(ck),
             "p_qt": pa.array(qt),
             "p_depth": pa.array(qt & 31),
             "p_hw": pa.array(hw5[ok % 5], pa.string()),
-            "kind": pa.array(["parent"] * len(ok)),
         })
-        return GM._align(t, node_cols)
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    node_in = cust.map_batches(node_rows, batch_format="pyarrow").union(
-        orders.map_batches(parent_rows, batch_format="pyarrow"))
-    joined = bucketed_apply(node_in, ["entity_id"],
-                            GM._node_join_fn(TR.DEFAULT_STYLE))
+    joined = bucketed_apply(
+        (cust.map_batches(node_rows, batch_format="pyarrow"),
+         orders.map_batches(parent_rows, batch_format="pyarrow")),
+        ["entity_id"], GM._node_join_fn(TR.DEFAULT_STYLE))
 
     def project(b: pa.Table) -> pa.Table:
         import json
@@ -248,16 +238,13 @@ def q_rel_qt_rounds(sf_dir: str):
     level-18 derived qts; rel->rel edges chain c -> c-1 within blocks of
     four (c % 4 != 1), listed in DESCENDING c order so each round reads
     pre-round values (Jacobi) — exactly what the chained-CTE oracle
-    expresses.  The distributed member fold runs through the same
-    union + bucketed_apply shape as build_geometries' qt_join, and the
+    expresses.  The distributed member fold is the same way-keyed
+    cogroup as build_geometries' (geometry.member_qt_parts), and the
     driver fold + 5 rounds is the REAL geometry.relation_qt_fold."""
     import ray
 
     from . import geometry as GM
     from ..stages.shuffle import bucketed_apply
-
-    qt_cols = {"way_id": pa.int64(), "rel_id": pa.int64(),
-               "qt": pa.int64(), "kind": pa.string()}
 
     def way_rows(b: pa.Table) -> pa.Table:
         from ..functions.quadtree import qt_round
@@ -269,33 +256,15 @@ def q_rel_qt_rounds(sf_dir: str):
         # exercises the depth-general common — a uniform spread would
         # make every common trivially 0
         qt = qt_round(derive.expected_qt(ck), 18 - ok % 6)
-        t = pa.table({
-            "way_id": pa.array(ok),
-            "qt": pa.array(qt),
-            "kind": pa.array(["wq"] * len(ok)),
-        })
-        return GM._align(t, qt_cols)
-
-    def member_rows(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "way_id": b.column("o_orderkey").cast(pa.int64()),
-            "rel_id": b.column("o_custkey").cast(pa.int64()),
-            "kind": pa.array(["w2r"] * b.num_rows),
-        })
-        return GM._align(t, qt_cols)
-
-    def qt_join(g: pd.DataFrame) -> pd.DataFrame:
-        wq = g[g["kind"] == "wq"][["way_id", "qt"]]
-        idx = g[g["kind"] == "w2r"][["way_id", "rel_id"]]
-        m = idx.merge(wq, on="way_id", how="inner")
-        return m.groupby("rel_id", as_index=False).agg(
-            qmin=("qt", "min"), qmax=("qt", "max"))
+        return pa.table({"way_id": pa.array(ok), "qt": pa.array(qt)})
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    qt_in = orders.map_batches(way_rows, batch_format="pyarrow").union(
-        orders.map_batches(member_rows, batch_format="pyarrow"))
-    parts = bucketed_apply(qt_in, ["way_id"], qt_join).to_pandas()
+    members = orders.rename_columns(
+        {"o_orderkey": "way_id", "o_custkey": "rel_id"})
+    parts = bucketed_apply(
+        (orders.map_batches(way_rows, batch_format="pyarrow"), members),
+        ["way_id"], GM.member_qt_parts).to_pandas()
 
     cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey"])

@@ -344,23 +344,6 @@ EVAL_MOD = 10          # fixture stand-in for the benchmark set:
 # docs with doc_id % EVAL_MOD == 0 play the held-out eval corpus
 
 
-def _doc_ngrams(b: pa.Table) -> pd.DataFrame:
-    """(doc_id, gram) sliding whitespace NGRAM_W-grams per doc,
-    vectorized: one explode + NGRAM_W-1 within-doc shifts + vector
-    concats.  Docs shorter than NGRAM_W words yield no grams."""
-    doc_id = b.column("doc_id").to_numpy()
-    t = b.column("text").to_pandas()
-    ex = t.str.split(" ").explode()
-    g = ex.groupby(level=0)
-    s = ex
-    for j in range(1, NGRAM_W):
-        s = s + " " + g.shift(-j)
-    s = s.dropna()
-    return pd.DataFrame(
-        {"doc_id": doc_id[s.index.to_numpy()].astype(np.int64),
-         "g": s.to_numpy()})
-
-
 def _doc_gram_hashes(b: pa.Table, width: int = NGRAM_W):
     """(row_index, gram_hash) for every sliding ``width``-gram — see
     :func:`_doc_gram_scan`."""

@@ -522,14 +522,14 @@ ORACLES["tile_pyramid"] = sql_tile_pyramid
 #      (_replicated_points/_cell_pairs — each pair found exactly once);
 #   2. degrees by one map-side-combined grouped count; core points are
 #      |N_eps(p)| >= minpts (the neighborhood includes p itself);
-#   3. core-core edges by two tagged co-location exchanges (pairs and
-#      the core table hash on the same key and filter bucket-locally —
-#      a semi-join, not a broadcast);
+#   3. core-core edges by two cogroup exchanges (pairs and the core
+#      table hash on the same key and filter bucket-locally — a
+#      semi-join, not a broadcast);
 #   4. cluster labels = connected components over core-core edges via
 #      the pointer-doubling label-propagation exchange shared with
 #      dedup_components (cc_label_refs);
 #   5. border points adopt the MINIMUM cluster label among their core
-#      neighbors (one more tagged co-location + a grouped min) — the
+#      neighbors (one more cogroup + a grouped min) — the
 #      classic DBSCAN border tie is order-dependent; the min rule makes
 #      it deterministic, and the oracle implements the same rule;
 #   6. everything else is noise (cluster = -1).
@@ -542,38 +542,18 @@ DBSCAN_EPS = 200_000_000
 DBSCAN_MINPTS = 8
 
 
-def _tag_frame(t: pa.Table, k, v1, v2, tag: int) -> pa.Table:
-    n = t.num_rows
-    zeros = np.zeros(n, np.int64)
-    return pa.table({
-        "k": t.column(k) if isinstance(k, str) else pa.array(zeros),
-        "v1": t.column(v1) if isinstance(v1, str) else pa.array(zeros),
-        "v2": t.column(v2) if isinstance(v2, str) else pa.array(zeros),
-        "tag": pa.array(np.full(n, tag, np.int64)),
-    })
-
-
 def _semi_filter_pairs(pairs_ds, key_col: str, members_ds):
     """Pair rows whose ``key_col`` endpoint appears in ``members_ds``
-    (column doc_id): tagged co-location on the key, bucket-local
-    vectorized membership — a distributed semi-join."""
+    (column doc_id): a cogroup on the key, bucket-local vectorized
+    membership — a distributed semi-join."""
     from ..stages.shuffle import bucketed_apply
 
-    tagged = pairs_ds.map_batches(
-        lambda t: _tag_frame(t, key_col, "a", "b", 0),
-        batch_format="pyarrow",
-    ).union(members_ds.map_batches(
-        lambda t: _tag_frame(t, "doc_id", None, None, 1),
-        batch_format="pyarrow"))
+    def f(p: pd.DataFrame, mem: pd.DataFrame) -> pd.DataFrame:
+        keep = p[key_col].isin(mem["doc_id"]).to_numpy()
+        return pd.DataFrame({"a": p["a"].to_numpy(np.int64)[keep],
+                             "b": p["b"].to_numpy(np.int64)[keep]})
 
-    def f(g: pd.DataFrame) -> pd.DataFrame:
-        mem = g.loc[g["tag"] == 1, "k"]
-        p = g[g["tag"] == 0]
-        keep = p["k"].isin(mem).to_numpy()
-        return pd.DataFrame({"a": p["v1"].to_numpy(np.int64)[keep],
-                             "b": p["v2"].to_numpy(np.int64)[keep]})
-
-    return bucketed_apply(tagged, ["k"], f)
+    return bucketed_apply((pairs_ds, members_ds), ([key_col], ["doc_id"]), f)
 
 
 def q_dbscan(sf_dir: str, eps: int = DBSCAN_EPS,
@@ -631,47 +611,27 @@ def q_dbscan(sf_dir: str, eps: int = DBSCAN_EPS,
                          "dst": np.concatenate([b, a])})
 
     und = pairs.map_batches(directed, batch_format="pyarrow")
-    tagged = und.map_batches(
-        lambda t: _tag_frame(t, "dst", "src", None, 0),
-        batch_format="pyarrow",
-    ).union(labels_ds.map_batches(
-        lambda t: _tag_frame(t, "node", "label", None, 1),
-        batch_format="pyarrow"))
 
-    def adopt(g: pd.DataFrame) -> pd.DataFrame:
-        lab = g[g["tag"] == 1]
-        edges = g[g["tag"] == 0]
-        m = edges.merge(lab[["k", "v1"]].rename(columns={"v1": "lbl"}),
-                        on="k", how="inner")
+    def adopt(edges: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        m = edges.merge(lab, left_on="dst", right_on="node", how="inner")
         if m.empty:
             return pd.DataFrame({"node": pd.Series(dtype=np.int64),
                                  "cand": pd.Series(dtype=np.int64)})
-        return pd.DataFrame({"node": m["v1"].to_numpy(np.int64),
-                             "cand": m["lbl"].to_numpy(np.int64)})
+        return pd.DataFrame({"node": m["src"].to_numpy(np.int64),
+                             "cand": m["label"].to_numpy(np.int64)})
 
-    cand = grouped_agg(bucketed_apply(tagged, ["k"], adopt),
-                       ["node"], {"cand": ("cand", "min")})
+    cand = grouped_agg(
+        bucketed_apply((und, labels_ds), (["dst"], ["node"]), adopt),
+        ["node"], {"cand": ("cand", "min")})
 
     # final assembly: documents + core labels + border candidates,
     # co-located by doc id
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
-    allt = (docs.map_batches(
-        lambda t: _tag_frame(t, "doc_id", None, None, 0),
-        batch_format="pyarrow")
-        .union(labels_ds.map_batches(
-            lambda t: _tag_frame(t, "node", "label", None, 1),
-            batch_format="pyarrow"))
-        .union(cand.map_batches(
-            lambda t: _tag_frame(t, "node", "cand", None, 2),
-            batch_format="pyarrow")))
-
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.loc[g["tag"] == 0, ["k"]].rename(columns={"k": "doc_id"})
-        lab = g[g["tag"] == 1].set_index("k")["v1"]
-        bo = g[g["tag"] == 2].set_index("k")["v1"]
-        own = d["doc_id"].map(lab)
-        adopt_ = d["doc_id"].map(bo)
+    def assemble(d: pd.DataFrame, lab: pd.DataFrame,
+                 bo: pd.DataFrame) -> pd.DataFrame:
+        own = d["doc_id"].map(lab.set_index("node")["label"])
+        adopt_ = d["doc_id"].map(bo.set_index("node")["cand"])
         is_core = own.notna()
         cluster = np.where(is_core, own.fillna(-1),
                            adopt_.fillna(-1)).astype(np.int64)
@@ -681,7 +641,8 @@ def q_dbscan(sf_dir: str, eps: int = DBSCAN_EPS,
             "cluster": cluster,
         })
 
-    return bucketed_apply(allt, ["k"], assemble)
+    return bucketed_apply((docs, labels_ds, cand),
+                          (["doc_id"], ["node"], ["node"]), assemble)
 
 
 def sql_dbscan() -> str:

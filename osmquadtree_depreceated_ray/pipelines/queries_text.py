@@ -367,12 +367,19 @@ def sql_quality() -> str:
 
 # 18. n-gram Jaccard between neighbouring docs ------------------------------
 
-def _ngram_pair_tagged(sf_dir: str):
-    """Shared pair-statistics stream for the bigram-set similarity
-    family (jaccard / containment): per-pair intersection partials
-    (src=0) unioned with map-side doc set sizes keyed to the pair they
-    lead (src=1) and trail (src=2).  One gram-hash exchange + the
-    map-side size pass; finishes differ only in the per-pair formula."""
+# cogroup keys of the pair-statistics inputs: intersection partials by
+# pair, doc set sizes by the pair they lead (a = doc_id) and trail
+# (a = doc_id - 1)
+_PAIR_KEYS = (["a"], ["doc_id"], ["prev"])
+
+
+def _ngram_pair_inputs(sf_dir: str):
+    """Shared pair-statistics inputs for the bigram-set similarity
+    family (jaccard / containment), cogrouped on ``_PAIR_KEYS``:
+    per-pair intersection partials (a, inter) and the map-side doc set
+    sizes (doc_id, prev, n), once as each pair's lead and once as its
+    trail.  One gram-hash exchange + the map-side size pass; finishes
+    differ only in the per-pair formula."""
     import ray
 
     def grams(b: pa.Table) -> pa.Table:
@@ -405,52 +412,40 @@ def _ngram_pair_tagged(sf_dir: str):
     inter = bucketed_apply(g, ["gh"], pair_counts)
 
     # distributed finish in ONE more bucketed stage: intersection
-    # partials (src=0, summed per pair) union doc sizes computed
+    # partials (summed per pair) cogrouped with doc sizes computed
     # MAP-SIDE from the documents pass (a doc's grams never split across
-    # batches), keyed to the pair they lead (a = doc_id) and trail
-    # (a = doc_id - 1)
-    def tag_inter(b: pa.Table) -> pa.Table:
-        return pa.table({"a": b.column("a"), "src": pa.array(
-            np.zeros(b.num_rows, np.int64)), "v": b.column("inter")})
-
+    # batches); materialized once, read as both lead and trail input
     def doc_sizes(b: pa.Table) -> pa.Table:
-        sh = _doc_bigrams(b)
-        counts = sh.groupby("doc_id", sort=False).size()
+        counts = _doc_bigrams(b).groupby("doc_id", sort=False).size()
         d = counts.index.to_numpy().astype(np.int64)
-        n = counts.to_numpy().astype(np.int64)
-        return pa.table({
-            "a": pa.array(np.concatenate([d, d - 1])),
-            "src": pa.array(np.concatenate(
-                [np.ones(len(d), np.int64), np.full(len(d), 2, np.int64)])),
-            "v": pa.array(np.concatenate([n, n])),
-        })
+        return pa.table({"doc_id": pa.array(d), "prev": pa.array(d - 1),
+                         "n": pa.array(counts.to_numpy().astype(np.int64))})
 
-    return inter.map_batches(tag_inter, batch_format="pyarrow").union(
-        ds.map_batches(doc_sizes, batch_format="pyarrow"))
+    sizes = ds.map_batches(doc_sizes, batch_format="pyarrow").materialize()
+    return inter, sizes, sizes
 
 
-def _pair_pivot(gdf: pd.DataFrame):
+def _pair_pivot(inter: pd.DataFrame, lead: pd.DataFrame,
+                trail: pd.DataFrame):
     """(a, inter, len_a, len_b) arrays from one finish bucket, or None
     when the bucket holds no complete pair."""
-    piv = gdf.pivot_table(index="a", columns="src", values="v",
-                          aggfunc="sum")
-    piv = piv.dropna(subset=[c for c in (0, 1, 2) if c in piv.columns])
-    if 0 not in piv.columns or not len(piv):
+    iv = inter.groupby("a")["inter"].sum()
+    la = lead.groupby("doc_id")["n"].sum()
+    lb = trail.groupby("prev")["n"].sum()
+    a = np.sort(iv.index.intersection(la.index).intersection(lb.index)
+                .to_numpy().astype(np.int64))
+    if not len(a):
         return None
-    a = piv.index.to_numpy().astype(np.int64)
-    iv = piv[0].to_numpy().astype(np.int64)
-    return a, iv, piv[1].to_numpy().astype(np.int64), \
-        piv[2].to_numpy().astype(np.int64)
+    return a, iv.loc[a].to_numpy(np.int64), la.loc[a].to_numpy(np.int64), \
+        lb.loc[a].to_numpy(np.int64)
 
 
 def q_ngram_jaccard(sf_dir: str):
     """Jaccard similarity of word-bigram sets for (doc_id, doc_id+1) pairs."""
     from ..stages.shuffle import bucketed_apply
 
-    tagged = _ngram_pair_tagged(sf_dir)
-
-    def finish(gdf: pd.DataFrame) -> pd.DataFrame:
-        got = _pair_pivot(gdf)
+    def finish(*frames: pd.DataFrame) -> pd.DataFrame:
+        got = _pair_pivot(*frames)
         if got is None:
             return pd.DataFrame({"a": pd.Series(dtype=np.int64),
                                  "b": pd.Series(dtype=np.int64),
@@ -464,7 +459,8 @@ def q_ngram_jaccard(sf_dir: str):
             "jaccard": iv / union,
         })
 
-    return bucketed_apply(tagged, ["a"], finish, n_buckets=8)
+    return bucketed_apply(_ngram_pair_inputs(sf_dir), _PAIR_KEYS, finish,
+                          n_buckets=8)
 
 
 def sql_ngram_jaccard() -> str:
@@ -1165,10 +1161,8 @@ def q_containment(sf_dir: str):
     (a, b, inter_n, len_a, len_b, c_a_in_b, c_b_in_a, c_max)."""
     from ..stages.shuffle import bucketed_apply
 
-    tagged = _ngram_pair_tagged(sf_dir)
-
-    def finish(gdf: pd.DataFrame) -> pd.DataFrame:
-        got = _pair_pivot(gdf)
+    def finish(*frames: pd.DataFrame) -> pd.DataFrame:
+        got = _pair_pivot(*frames)
         if got is None:
             return pd.DataFrame({
                 "a": pd.Series(dtype=np.int64),
@@ -1190,7 +1184,8 @@ def q_containment(sf_dir: str):
             "c_max": iv / np.minimum(la, lb),
         })
 
-    return bucketed_apply(tagged, ["a"], finish, n_buckets=8)
+    return bucketed_apply(_ngram_pair_inputs(sf_dir), _PAIR_KEYS, finish,
+                          n_buckets=8)
 
 
 def sql_containment() -> str:

@@ -2694,123 +2694,68 @@ def _cross_join(ds_a, ds_b, broadcast_threshold: int = 1_000_000):
 
 def _join_on(ds_a, ds_b, lcol, rcol, how: str = "inner"):
     """Inner/left/right/full equi-join (single or composite key) of two
-    datasets as one bucketed hash shuffle (rows of both sides co-locate
-    by key, so each bucket's outer merge is globally correct).  NULL
+    datasets as one bucketed cogroup (rows of both sides co-locate by
+    key value, so each bucket's outer merge is globally correct).  NULL
     join keys follow SQL: a null in ANY key column never matches, but
-    outer joins still surface those rows with nulls."""
+    outer joins still surface those rows with nulls.  A column name on
+    both sides carries the LEFT value."""
     from ..stages.shuffle import bucketed_apply
 
     lcols = [lcol] if isinstance(lcol, str) else list(lcol)
     rcols = [rcol] if isinstance(rcol, str) else list(rcol)
-    jks = [f"__jk{i}" for i in range(len(lcols))]
-    a_names = ds_a.schema().names
-    b_names = ds_b.schema().names
-    overlap = set(a_names) & set(b_names)
-    # int columns come back float64 from the union's null-padding (NaN
-    # contamination in pandas) — restore the declared arrow dtypes after
-    # the per-bucket merge
-    int_cols = set()
-    for sch in (ds_a.schema(), ds_b.schema()):
-        for name, typ in zip(sch.names, sch.types):
-            # a derived pipeline's schema may carry plain Python types
-            if isinstance(typ, pa.DataType) and pa.types.is_integer(typ):
-                int_cols.add(name)
-
-    # harmonize numeric dtypes of same-named / key columns across the
-    # two sides before the union (a derived side may have promoted
-    # int -> float via null groups; mismatched block schemas would fail
-    # the exchange's Arrow concat).  The post-merge int-restore below
-    # undoes the widening when no nulls survive.
-    at = {n: t for n, t in zip(ds_a.schema().names, ds_a.schema().types)}
-    bt = {n: t for n, t in zip(ds_b.schema().names, ds_b.schema().types)}
-
-    def _unify(ta, tb):
-        if (ta is None or tb is None or ta == tb
-                or not isinstance(ta, pa.DataType)
-                or not isinstance(tb, pa.DataType)):
-            return None
-        num = (lambda t: pa.types.is_integer(t) or pa.types.is_floating(t))
-        return pa.float64() if num(ta) and num(tb) else None
-
-    cast_a: dict = {}
-    cast_b: dict = {}
-    for n in overlap:
-        u = _unify(at.get(n), bt.get(n))
-        if u is not None:
-            if at[n] != u:
-                cast_a[n] = u
-            if bt[n] != u:
-                cast_b[n] = u
-    for jk, lc, rc in zip(jks, lcols, rcols):
-        u = _unify(at.get(lc), bt.get(rc))
-        if u is not None:
-            if at.get(lc) != u:
-                cast_a[jk] = u
-            if bt.get(rc) != u:
-                cast_b[jk] = u
-
-    def tag(src, keys, casts):
-        def fn(b: pa.Table) -> pa.Table:
-            t = b.append_column("__src", pa.array(
-                np.full(b.num_rows, src, np.int8)))
-            for jk, key in zip(jks, keys):
-                t = t.append_column(jk, t.column(key))
-            for cn, tt in casts.items():
-                idx = t.schema.get_field_index(cn)
-                t = t.set_column(idx, cn, pa.compute.cast(t.column(cn), tt))
-            return t
-
-        return fn
-
-    both = ds_a.map_batches(tag(0, lcols, cast_a),
-                            batch_format="pyarrow").union(
-        ds_b.map_batches(tag(1, rcols, cast_b), batch_format="pyarrow"))
+    # declared column types, a left name winning a shared one: an
+    # outer merge leaves NaN in an unmatched side's int columns (pandas
+    # widens them to float64), and a column that is all NULL in one
+    # bucket comes out null-typed — both are restored per bucket
+    types = {}
+    for sch in (ds_b.schema(), ds_a.schema()):
+        # a derived pipeline's schema may carry plain Python types
+        types.update((n, t) for n, t in zip(sch.names, sch.types)
+                     if isinstance(t, pa.DataType))
+    int_cols = {n for n, t in types.items() if pa.types.is_integer(t)}
 
     pd_how = "outer" if how == "full" else how
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # select each side's declared columns directly — the union's
-        # null-padding columns are simply not selected (never
-        # dropna(how="all"): a legitimately all-null column within one
-        # bucket would vanish and the selection would raise)
-        a = g[g["__src"] == 0][
-            [c for c in a_names if c in g.columns] + jks]
-        b = g[g["__src"] == 1][
-            [c for c in b_names if c in g.columns] + jks]
+    def merge(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+        # right columns named like left ones (keys too) merge as _r
+        # and are dropped after
+        dup = {c: f"{c}_r" for c in b.columns if c in a.columns}
+        b = b.rename(columns=dup)
+        rkeys = [dup.get(c, c) for c in rcols]
         # SQL NULL keys never match (pandas merge would pair NaN==NaN);
         # outer-preserved sides re-append their null-key rows unmatched
-        a_nmask = a[jks].isna().any(axis=1)
-        b_nmask = b[jks].isna().any(axis=1)
+        a_nmask = a[lcols].isna().any(axis=1)
+        b_nmask = b[rkeys].isna().any(axis=1)
         a_null = a[a_nmask]
         b_null = b[b_nmask]
         if len(a_null):
             a = a[~a_nmask]
         if len(b_null):
             b = b[~b_nmask]
-        m = a.merge(b, on=jks, how=pd_how,
-                    suffixes=("", "_r"))
+        m = a.merge(b, left_on=lcols, right_on=rkeys, how=pd_how)
         parts = [m]
         if how in ("left", "full") and len(a_null):
             parts.append(a_null)
         if how in ("right", "full") and len(b_null):
-            # shared-named output columns carry LEFT values (the merge's
-            # suffix convention) — route the right side's overlap values
-            # to the dropped _r names so unmatched rows stay consistent
-            parts.append(b_null.rename(
-                columns={c: f"{c}_r" for c in overlap}))
+            parts.append(b_null)
         if len(parts) > 1:
             m = pd.concat(parts, ignore_index=True)
-        drop = jks + [f"{c}_r" for c in overlap if f"{c}_r" in m.columns]
-        m = m.drop(columns=[c for c in drop if c in m.columns])
+        m = m.drop(columns=list(dup.values()))
         for c in m.columns:
             if c in int_cols and m[c].dtype != np.int64:
                 # nullable-safe: fall back to pandas Int64 when the
                 # column carries genuine nulls
                 m[c] = (m[c].astype("Int64") if m[c].isna().any()
                         else m[c].astype(np.int64))
-        return m
+        out = pa.Table.from_pandas(
+            m, preserve_index=False).replace_schema_metadata(None)
+        for i, f in enumerate(out.schema):
+            if pa.types.is_null(f.type) and f.name in types:
+                out = out.set_column(
+                    i, f.name, pa.nulls(out.num_rows, types[f.name]))
+        return out
 
-    return bucketed_apply(both, jks, merge)
+    return bucketed_apply((ds_a, ds_b), (lcols, rcols), merge)
 
 
 def _per_key_topn(ds, kcols: list, okeys: list, n: int):
@@ -3558,51 +3503,47 @@ def _align_positional(left_names, other):
     return other.map_batches(rn, batch_format="pyarrow")
 
 
-def _set_op(ds_a, ds_b, cols: list, op: str):
+def _set_op(ds_a, ds_b, cols: list, op: str, rcols: "list | None" = None):
     """INTERSECT / EXCEPT with SQL's distinct set semantics, plus the
-    INTERSECT ALL / EXCEPT ALL bag forms: tag each side, union,
-    hash-bucket on ALL columns (identical rows co-locate), then emit
-    per distinct row — intersect: one copy if present in both;
-    except: one copy if left-only; intersect_all: min(n_left, n_right)
-    copies; except_all: max(0, n_left - n_right) copies.  One exchange,
-    no driver materialize.  Per-side counts are indicator-column sums,
-    so the per-bucket groupby stays a vectorized two-column agg."""
+    INTERSECT ALL / EXCEPT ALL bag forms: cogroup both sides on ALL
+    columns (identical rows co-locate; ``rcols``, the right side's
+    names, pair with ``cols`` by position), then emit per distinct row —
+    intersect: one copy if present in both; except: one copy if
+    left-only; intersect_all: min(n_left, n_right) copies; except_all:
+    max(0, n_left - n_right) copies.  One exchange, no driver
+    materialize.  Per-side counts are indicator-column sums, so the
+    per-bucket groupby stays a vectorized two-column agg."""
     from ..stages.shuffle import bucketed_apply
 
-    def tag(src):
-        def fn(b: pa.Table) -> pa.Table:
-            return b.append_column("__src", pa.array(
-                np.full(b.num_rows, src, np.int8)))
-
-        return fn
-
-    both = ds_a.map_batches(tag(0), batch_format="pyarrow").union(
-        ds_b.map_batches(tag(1), batch_format="pyarrow"))
     # the per-bucket frame takes a pandas round trip: a bucket whose
     # int column holds a NULL comes back float64 (NaN) while other
     # buckets stay int64 — inconsistent block schemas downstream.
     # Restore via pandas' nullable Int64 when BOTH sides declare ints
     # (same hazard _join_on handles).
-    def _int_names(sch):
+    rcols = list(cols if rcols is None else rcols)
+
+    def _int_names(sch, names):
         if sch is None:  # a zero-row side has no schema to contradict
             return None
-        return {n for n, t in zip(sch.names, sch.types)
+        ints = {n for n, t in zip(sch.names, sch.types)
                 if isinstance(t, pa.DataType) and pa.types.is_integer(t)}
+        return {c for c, n in zip(cols, names) if n in ints}
 
-    ia = _int_names(ds_a.schema())
-    ib = _int_names(ds_b.schema())
+    ia = _int_names(ds_a.schema(), cols)
+    ib = _int_names(ds_b.schema(), rcols)
     int_cols = sorted((ia if ib is None else ib if ia is None
                        else ia & ib) or set())
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            # a schema-less zero-row piece has no columns to select
+    def fn(a: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+        if a.empty:
+            # no left rows: every form emits nothing
             return pd.DataFrame({
                 c: pd.Series([], dtype="Int64" if c in int_cols
                              else "object") for c in cols})
-        src = g["__src"].to_numpy()
-        g = g.assign(__l=(src == 0).astype(np.int64),
-                     __r=(src == 1).astype(np.int64))
+        g = pd.concat([a[cols], b[rcols].set_axis(cols, axis=1)],
+                      ignore_index=True)
+        left = np.arange(len(g)) < len(a)
+        g = g.assign(__l=left.astype(np.int64), __r=(~left).astype(np.int64))
         agg = g.groupby(cols, as_index=False, sort=False, dropna=False)[
             ["__l", "__r"]].sum()
         nl, nr = agg["__l"].to_numpy(), agg["__r"].to_numpy()
@@ -3619,7 +3560,7 @@ def _set_op(ds_a, ds_b, cols: list, op: str):
             out[c] = out[c].astype("Int64")
         return out
 
-    return bucketed_apply(both, cols, fn)
+    return bucketed_apply((ds_a, ds_b), (cols, rcols), fn)
 
 
 RECURSIVE_MAX_ROUNDS = 100
@@ -4261,22 +4202,25 @@ def _plan_ast(ast, tables: dict, broadcast_threshold: int = 1_000_000,
                 ds = _distinct(other, rnames)
                 ds_names = rnames
             continue
-        # SQL set operations align columns by POSITION, not name:
-        # positionally rename the right side to the left's schema
-        other = _align_positional(lnames, other)
+        # SQL set operations align columns by POSITION, not name
+        if len(rnames) != len(lnames):
+            raise ValueError(
+                f"set operation column-count mismatch: left has "
+                f"{len(lnames)} columns, right has {len(rnames)}")
         if sop == "union_all":
-            ds = ds.union(other)
+            ds = ds.union(_rename_positional(other, lnames, rnames))
         elif sop == "union":
             # UNION without ALL deduplicates the accumulated result
             # (left-associative, sqlselect/sql.go)
             from ..stages.shuffle import distinct as _distinct
 
-            ds = _distinct(ds.union(other), lnames)
+            ds = _distinct(ds.union(_rename_positional(other, lnames, rnames)),
+                           lnames)
         else:
-            # INTERSECT / EXCEPT: distinct set semantics — tag each
-            # side, co-locate identical rows via the bucketed exchange,
+            # INTERSECT / EXCEPT: distinct set semantics — cogroup
+            # identical rows of both sides via the bucketed exchange,
             # keep one copy of rows present in both (or left-only)
-            ds = _set_op(ds, other, lnames, sop)
+            ds = _set_op(ds, other, lnames, sop, rnames)
         ds_names = lnames
     if ds_names is None:
         ds_names = _schema_names_or_none(ds)

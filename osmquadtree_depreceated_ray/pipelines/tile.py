@@ -139,41 +139,6 @@ def count_tiles_adaptive(
     return q[order], n[order]
 
 
-def ladder_prune(q: np.ndarray, n: np.ndarray, levels: tuple,
-                 threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prune merged (qt, count) totals to the adaptive count ladder.
-
-    ``q`` must be unique and sorted at the deepest ladder level; returns
-    exactly what :func:`count_tiles_adaptive` would emit for these rows:
-    at each ladder level, a cell is a leaf if its total <= threshold or
-    its own depth is shallower than the level; only exact-depth hot
-    cells are refined (pinned by tests/test_qttree.py).
-    """
-    out_q: list[np.ndarray] = []
-    out_n: list[np.ndarray] = []
-    cur_q, cur_n = q, n
-    for level in levels[:-1]:
-        if not len(cur_q):
-            break
-        qr = qt_round(cur_q, level)
-        starts = np.concatenate([[0], np.flatnonzero(qr[1:] != qr[:-1]) + 1])
-        tot = np.add.reduceat(cur_n, starts)
-        gq = qr[starts]
-        depth = gq & 31
-        cold = (tot <= threshold) | (depth < level)
-        out_q.append(gq[cold])
-        out_n.append(tot[cold])
-        grp = np.searchsorted(starts, np.arange(len(cur_q)), side="right") - 1
-        keep = ~cold[grp]
-        cur_q, cur_n = cur_q[keep], cur_n[keep]
-    out_q.append(cur_q)
-    out_n.append(cur_n)
-    q = np.concatenate(out_q)
-    n = np.concatenate(out_n)
-    order = np.argsort(q, kind="stable")
-    return q[order], n[order]
-
-
 def _round_counts_impl(n_red, level, prev_level, hot, *blocks):
     """One descent round's map task: count distinct level-``level``
     cells among rows under the globally-hot ``prev_level`` cells, routed
@@ -446,14 +411,6 @@ def tile_pages(
     res["timings"]["extract"] = t_extract
     res["entities_ds"] = ents2  # reusable in-memory handle for callers
     return res
-
-
-def tiled_summary(out_dir: str):
-    """Per-tile counts from the written partitions (tile, n rows)."""
-    import ray
-
-    ds = ray.data.read_parquet(mf.data_dir(out_dir))
-    return ds.groupby("tile").count()
 
 
 def write_qts(entities_ds, out_path: str) -> None:

@@ -219,14 +219,6 @@ def merge_change_files(tables: list[pa.Table], seq: int | None = None) -> pa.Tab
     return pa.Table.from_pandas(df, preserve_index=False)
 
 
-def apply_change_files(out_dir: str, paths: list[str], seq: int) -> dict:
-    """Read k change files (each may hold several seqs), k-way merge,
-    apply as one batch against the bucketed lineage."""
-    tables = [pq.read_table(p) for p in paths]
-    merged = merge_change_files(tables, seq=seq)
-    return apply_change_batch(out_dir, merged, seq)
-
-
 def _resolved_changes(out_dir: str):
     """Every change file resolved in one local pass (J8/J9: last record
     per entity by ``(seq, change)``; a move's Unchanged(3) outranks its

@@ -21,9 +21,13 @@ aggregation runs at C speed.  Buckets are the unit of parallelism —
 size ``n_buckets`` >= cluster cores for full width; skewed keys can be
 salted (``salted_agg``).
 
-A tuple of Datasets makes a cogroup: each input is split on its own
-(own schema, no marker or padding columns) and each reduce gets one
-frame per input.  That is the above-cap half of the engine's one
+A tuple of Datasets makes a cogroup, the engine's only multi-input
+exchange: each input is split on its own (own schema, no marker or
+padding columns) and each reduce gets one frame per input.  The inputs
+may name their keys differently (``keys`` = one list per input):
+routing hashes key values, never column names.  Every keyed join runs
+this way — the geometry J2-J6 joins, the SQL equi-joins and set
+operations — and it is the above-cap half of the engine's one
 lookup-join rule; below ``BROADCAST_MAX`` rows, ``broadcast_table``
 ships the table sorted to every map task instead, probed with
 ``functions.lookup.sorted_lookup``.
@@ -168,10 +172,13 @@ def bucketed_apply(
     ``ds`` may be a tuple of Datasets that all carry ``keys``: a
     cogroup.  Each input is split on its own, keeping its own schema,
     and one reduce per bucket calls ``fn(frame_1, ..., frame_k)`` with
-    that bucket's rows of every input.  Every input must carry its
-    columns, an empty one too (a zero-row block with its schema): a
-    reduce raises ValueError when one input has no such block and
-    another has.  ``combine`` is single-input only."""
+    that bucket's rows of every input.  ``keys`` may then also be a
+    tuple of one key list per input (equal length, matched by
+    position), for inputs whose key columns are named differently.
+    Every input must carry its columns, an empty one too (a zero-row
+    block with its schema): a reduce raises ValueError when one input
+    has no such block and another has.  ``combine`` is single-input
+    only."""
     if n_buckets is None:
         n_buckets = default_buckets()
 
@@ -179,6 +186,9 @@ def bucketed_apply(
     import ray.data
 
     inputs = ds if isinstance(ds, tuple) else (ds,)
+    in_keys = (keys if isinstance(keys, tuple) and not isinstance(keys[0], str)
+               else (keys,) * len(inputs))
+    assert len(in_keys) == len(inputs), "one key list per input"
     assert combine is None or len(inputs) == 1, \
         "combine is single-input only"
     # bound the exchange's object count at ~n_tasks x n_buckets: group
@@ -188,8 +198,8 @@ def bucketed_apply(
         # empty single input: run fn driver-side on an empty typed frame
         return inputs[0].map_batches(
             lambda df: fn(df), batch_format="pandas", batch_size=None)
-    pieces = [p for g in groups for p in scatter(
-        _split_impl, [(tuple(keys), n_buckets, combine, *b) for b in g],
+    pieces = [p for g, k in zip(groups, in_keys) for p in scatter(
+        _split_impl, [(tuple(k), n_buckets, combine, *b) for b in g],
         n_buckets)[1]]
     outs = gather(_cogroup_impl, [(fn, tuple(map(len, groups)))]
                   * n_buckets, pieces, returns=2)

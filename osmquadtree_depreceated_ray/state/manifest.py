@@ -99,14 +99,6 @@ def lineage_bucket_dir(out_dir: str, bucket: int) -> str:
     return fsio.join(lineage_dir(out_dir), f"bucket={int(bucket)}")
 
 
-def write_lineage(out_dir: str, table: pa.Table) -> None:
-    """Legacy single-file lineage write (kept for small callers).  The
-    tiling writers and the update path use the bucketed ``lineage/``
-    store instead; the single file, when present, is the newer state."""
-    fs, root = fsio.get_fs(out_dir)
-    fsio.commit_parquet(table, fs, fsio.join(root, "lineage.parquet"))
-
-
 def write_lineage_bucket(out_dir: str, bucket: int, table: pa.Table) -> None:
     """Replace one lineage bucket with a consolidated file (stale writer
     parts retired after the consolidated commit)."""

@@ -98,6 +98,24 @@ def geom_out(ray_session, fixture_dir, tmp_path_factory):
     return out, res
 
 
+def test_geometry_pipeline_without_relations(ray_session, fixture_dir,
+                                            tmp_path):
+    """No relation members: every relation-keyed exchange gets an empty
+    input next to a non-empty one, and the build still emits every node
+    and way feature."""
+    import shutil
+
+    from osmquadtree_depreceated_ray.pipelines.geometry import build_geometries
+
+    fix = str(tmp_path / "fix")
+    shutil.copytree(fixture_dir, fix)
+    path = os.path.join(fix, "rel_members.parquet")
+    pq.write_table(pq.read_table(path).slice(0, 0), path)
+    res = build_geometries(fix, str(tmp_path / "out"))
+    assert res["relations"] == 0
+    assert res["features"] == res["nodes"] + res["ways"] > 0
+
+
 def test_geometry_pipeline_end_to_end(geom_out):
     out, res = geom_out
     assert res["features"] > 0

@@ -1,33 +1,13 @@
 """Oracle-family entries for the geometry/update join operators (J4,
-J5, A4, O9, J9, T6): independent recomputes on sf0.001 plus the
-regression pin for the exchange int64-exactness fix.  The DuckDB
+J5, A4, O9, J9, T6): independent recomputes on sf0.001 (the exchange's
+int64 exactness is pinned in tests/test_shuffle.py).  The DuckDB
 hash-exact gate runs separately via tools/check_oracles.py."""
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_align_integer_sentinel_keeps_int64_exact():
-    """Regression: a missing int64 column must arrive as -1 sentinel
-    (NOT null) so the exchange's pandas bucket frames keep int64 and
-    63-bit qt payloads survive (caught by the parent_tags oracle:
-    nulls forced float64 and zeroed the depth bits of parent qts)."""
-    from osmquadtree_depreceated_ray.pipelines.geometry import _align
-
-    big = 8322321492045987858  # > 2^53: float64 would round it
-    cols = {"qt": pa.int64(), "name": pa.string(), "kind": pa.string()}
-    a = _align(pa.table({"qt": pa.array([big]),
-                         "kind": pa.array(["wq"])}), cols)
-    b = _align(pa.table({"name": pa.array(["x"]),
-                         "kind": pa.array(["w2r"])}), cols)
-    df = pa.concat_tables([a, b]).to_pandas()
-    assert df["qt"].dtype == np.int64
-    assert int(df["qt"].iloc[0]) == big
-    assert int(df["qt"].iloc[1]) == -1
 
 
 def test_parent_tags_vs_numpy(ray_session):

@@ -155,6 +155,61 @@ def test_cogroup_with_an_empty_input(ray_session):
     pd.testing.assert_frame_equal(got, _per_key(lf, rf.iloc[:0]))
 
 
+def test_cogroup_int64_payload_exact(ray_session):
+    """A 63-bit int64 column of one input reaches fn as int64 with its
+    exact value, although the other input has no such column (no
+    shared schema, so no null padding to widen it to float64)."""
+    import ray
+
+    from osmquadtree_depreceated_ray.stages.shuffle import bucketed_apply
+
+    big = 8322321492045987858  # > 2^53: float64 would round it
+    qts = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2], pa.int64()),
+        "qt": pa.array([big, 5], pa.int64())}))
+    names = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 3], pa.int64()), "name": pa.array(["x", "y"])}))
+
+    def fn(q: pd.DataFrame, n: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"k": q["k"], "qt": q["qt"],
+                             "dtype": str(q["qt"].dtype)})
+
+    got = bucketed_apply((qts, names), ["k"], fn, n_buckets=2).to_pandas()
+    got = got.sort_values("k").reset_index(drop=True)
+    assert got["dtype"].tolist() == ["int64", "int64"]
+    assert [int(v) for v in got["qt"]] == [big, 5]
+
+
+def test_cogroup_per_input_keys(ray_session):
+    """``keys`` as one list per input: differently named key columns,
+    int64 on one side and float64 on the other, route equal values to
+    the same bucket."""
+    import ray
+
+    from osmquadtree_depreceated_ray.stages.shuffle import bucketed_apply
+
+    a = np.arange(40, dtype=np.int64) % 13
+    b = (np.arange(30, dtype=np.int64) % 17).astype(np.float64)
+    lds = ray.data.from_arrow([pa.table({"a": pa.array(a[:20])}),
+                               pa.table({"a": pa.array(a[20:])})])
+    rds = ray.data.from_arrow(pa.table({"b": pa.array(b)}))
+
+    def fn(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        nl = l.groupby("a").size().rename("n_a")
+        nr = r.groupby(r["b"].astype(np.int64)).size().rename("n_b")
+        out = pd.concat([nl, nr], axis=1).fillna(0).astype(np.int64)
+        return out.rename_axis("key").reset_index()
+
+    got = bucketed_apply((lds, rds), (["a"], ["b"]), fn, n_buckets=4)
+    got = got.to_pandas().sort_values("key").reset_index(drop=True)
+    # one row per key: its rows of both inputs met in one bucket
+    assert got["key"].tolist() == list(range(17))
+    want_a = np.bincount(a, minlength=17)
+    want_b = np.bincount(b.astype(np.int64), minlength=17)
+    assert got["n_a"].tolist() == want_a.tolist()
+    assert got["n_b"].tolist() == want_b.tolist()
+
+
 def test_split_task_count(ray_session, monkeypatch):
     """One split task per block group of each input: a single Dataset
     keeps its n x n grid, and a cogroup scatters each input on its

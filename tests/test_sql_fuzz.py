@@ -185,13 +185,14 @@ def _table_u() -> pa.Table:
 TABLE_U = _table_u()
 
 
-def _run_both2(ray_session, sql: str):
+def _run_both2(ray_session, sql: str, broadcast_threshold: int = 1_000_000):
     import ray
 
     from osmquadtree_depreceated_ray.pipelines.sqlparse import parse_sql
 
     res = parse_sql(sql, {"t": ray.data.from_arrow(TABLE),
-                          "u": ray.data.from_arrow(TABLE_U)})
+                          "u": ray.data.from_arrow(TABLE_U)},
+                    broadcast_threshold)
     parts = ray.get(res.to_arrow_refs())
     got = (pa.concat_tables(parts, promote_options="default").to_pandas()
            if parts else pd.DataFrame())
@@ -608,10 +609,13 @@ def test_fuzz_interval_arith(ray_session, iv, tl, op, cmp_):
 def test_fuzz_join_multikey(ray_session, how, w):
     """Composite-key joins in every direction over nullable duplicated
     keys: a null in ANY key column never matches, outer sides still
-    surface their null-key rows."""
+    surface their null-key rows.  At the default threshold INNER and
+    LEFT take the broadcast join; at 0 every direction takes the
+    bucketed one."""
     sql = (f"SELECT k, i, j, m, v FROM t {how} u ON j = m AND i = v "
            f"WHERE {w}")
-    _run_both2(ray_session, sql)
+    for threshold in (1_000_000, 0):
+        _run_both2(ray_session, sql, threshold)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,

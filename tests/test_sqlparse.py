@@ -754,6 +754,18 @@ def test_set_operations_match_duckdb(ray_session, t1):
         _run_both(sql, None, {"t1": t1})
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT s FROM t1 WHERE v > 40 EXCEPT SELECT hkey FROM t3 WHERE h < 0",
+    "SELECT k, s, h, tag FROM t1 FULL JOIN "
+    "(SELECT h, tag, hkey FROM t3 WHERE h < 0) e ON s = hkey WHERE k < 40",
+])
+def test_bucketed_ops_against_empty_right(ray_session, t1, t3, sql):
+    """EXCEPT and FULL JOIN through the bucketed exchange
+    (broadcast_threshold=0) when the right relation is empty: every
+    left row survives, the right columns read NULL."""
+    _run_both(sql, None, {"t1": t1, "t3": t3}, broadcast_threshold=0)
+
+
 def test_rollup_matches_duckdb(ray_session, t1):
     """GROUP BY ROLLUP subtotal levels vs DuckDB (string and int keys;
     COUNT pins the row multiset, CAST pins sum dtypes)."""
