@@ -81,6 +81,18 @@ def build_way_vertices(entities_ds, refs_ds):
         ["entity_id"], join_coords)
 
 
+def _typed_map(ds, fn, empty: pa.Table):
+    """``ds.map_batches(fn)`` over a materialized ``ds``; without rows,
+    one block ``fn(empty)``.  Ray hands a zero-row block on without
+    calling ``fn`` and without columns, and a cogroup input needs its
+    columns."""
+    import ray
+
+    if ds.count():
+        return ds.map_batches(fn, batch_format="pyarrow")
+    return ray.data.from_arrow(fn(empty))
+
+
 _WAY_GEOM_SCHEMA = pa.schema([
     ("way_id", pa.int64()), ("geom_type", pa.int64()),
     ("refs", pa.list_(pa.int64())), ("lons", pa.list_(pa.int64())),
@@ -459,10 +471,11 @@ def build_geometries(fixture_dir: str, out_dir: str,
              "p_hw": pa.array(phw[rep], pa.string())}
         )
 
+    no_ways = _WAY_GEOM_SCHEMA.empty_table()
     nodes = entities_ds.select_columns(
         ["entity_id", "lon", "lat", "kind", "name"])
     node_geoms = bucketed_apply(
-        (nodes, way_geoms.map_batches(parent_fanout, batch_format="pyarrow")),
+        (nodes, _typed_map(way_geoms, parent_fanout, no_ways)),
         ["entity_id"], _node_join_fn(style)).materialize()
 
     # --- J6: relation assembly (bucketed joins, no broadcast state) ---------
@@ -513,7 +526,7 @@ def build_geometries(fixture_dir: str, out_dir: str,
         keep = _held_mask(b.column("way_id").to_numpy())
         return b.drop_columns(["qt"]).filter(pa.array(keep))
 
-    held_payloads = way_geoms.map_batches(way_payloads, batch_format="pyarrow")
+    held_payloads = _typed_map(way_geoms, way_payloads, no_ways)
 
     def fan_join(pays: pd.DataFrame, idx: pd.DataFrame) -> pd.DataFrame:
         m = idx.merge(pays, on="way_id", how="inner")
@@ -624,12 +637,10 @@ def build_geometries(fixture_dir: str, out_dir: str,
         df["wkb"] = df["wkb"].map(bytes)
         return df
 
-    # Ray maps a zero-row block to a schema-less one, and the cogroup
-    # needs the marks' columns: no relation rows, an empty typed input
-    marks = (rel_results.map_batches(removed_rows, batch_format="pyarrow")
-             if rel_results.count() else ray.data.from_arrow(pa.table({
-                 "way_id": pa.array([], pa.int64()),
-                 "removed_key": pa.array([], pa.string())})))
+    marks = _typed_map(rel_results, removed_rows, pa.table({
+        "row_kind": pa.array([], pa.string()),
+        "way_id": pa.array([], pa.int64()),
+        "removed_key": pa.array([], pa.string())}))
     released_feats = bucketed_apply((held_payloads, marks), ["way_id"],
                                     released_join, n_buckets=8)
 

@@ -570,6 +570,19 @@ def q_dbscan(sf_dir: str, eps: int = DBSCAN_EPS,
     # self-join lineage three times; O(pairs) in the object store
     pairs = bucketed_apply(
         pts, ["cx", "cy"], lambda g: _cell_pairs(g, eps)).materialize()
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                 columns=["doc_id"])
+    if not pairs.count():
+        # no eps-neighbours: every point is noise (and Ray's maps would
+        # turn the empty pair set into blocks without columns, which the
+        # cogroups below cannot read)
+        def noise(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            return pa.table({"doc_id": t.column("doc_id"),
+                             "is_core": pa.array(np.zeros(n, np.int64)),
+                             "cluster": pa.array(np.full(n, -1, np.int64))})
+
+        return docs.map_batches(noise, batch_format="pyarrow")
 
     def explode(t: pa.Table) -> pa.Table:
         if "a" not in t.column_names:
@@ -626,8 +639,6 @@ def q_dbscan(sf_dir: str, eps: int = DBSCAN_EPS,
 
     # final assembly: documents + core labels + border candidates,
     # co-located by doc id
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
     def assemble(d: pd.DataFrame, lab: pd.DataFrame,
                  bo: pd.DataFrame) -> pd.DataFrame:
         own = d["doc_id"].map(lab.set_index("node")["label"])

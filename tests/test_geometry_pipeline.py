@@ -98,10 +98,13 @@ def geom_out(ray_session, fixture_dir, tmp_path_factory):
     return out, res
 
 
-def test_geometry_pipeline_without_relations(ray_session, fixture_dir,
-                                            tmp_path):
-    """No relation members: every relation-keyed exchange gets an empty
-    input next to a non-empty one, and the build still emits every node
+@pytest.mark.parametrize("emptied", [
+    ("rel_members",), ("way_segments", "rel_members")],
+    ids=["no_relations", "no_ways"])
+def test_geometry_pipeline_with_empty_tables(ray_session, fixture_dir,
+                                             tmp_path, emptied):
+    """No relation members (or no ways either): the exchanges get empty
+    inputs next to non-empty ones, and the build still emits every node
     and way feature."""
     import shutil
 
@@ -109,8 +112,9 @@ def test_geometry_pipeline_without_relations(ray_session, fixture_dir,
 
     fix = str(tmp_path / "fix")
     shutil.copytree(fixture_dir, fix)
-    path = os.path.join(fix, "rel_members.parquet")
-    pq.write_table(pq.read_table(path).slice(0, 0), path)
+    for name in emptied:
+        path = os.path.join(fix, f"{name}.parquet")
+        pq.write_table(pq.read_table(path).slice(0, 0), path)
     res = build_geometries(fix, str(tmp_path / "out"))
     assert res["relations"] == 0
     assert res["features"] == res["nodes"] + res["ways"] > 0

@@ -217,7 +217,8 @@ def _brute_dbscan(points, eps, minpts):
 
 @pytest.mark.parametrize("eps,minpts", [(200_000_000, 8),
                                         (300_000_000, 5),
-                                        (100_000_000, 3)])
+                                        (100_000_000, 3),
+                                        (1, 8)])
 def test_dbscan_vs_brute_force(ray_session, points, eps, minpts):
     from osmquadtree_depreceated_ray.pipelines.queries_spatial import (
         q_dbscan,
